@@ -2,11 +2,18 @@
 
 The two-moons and concentric-circles generators follow the conventional
 arc constructions, with one extra knob: a global coordinate ``scale``.
-The default scales are calibrated so that the divergence between two
-independent 10,000-point samples lands on the published reference baseline
-(about 0.070 for moons, 0.071 for circles); see the README for the
-calibration procedure.  Scaling the coordinates scales every divergence
-linearly, so it changes no ranking.
+The default scales are meant to put the divergence between two independent
+10,000-point samples on the published reference baseline (about 0.070 for
+moons, 0.071 for circles).  The check that measures it::
+
+    ot_divergence(make_moons(SyntheticSpec(SyntheticKind.MOONS, n=10_000, seed=0)),
+                  make_moons(SyntheticSpec(SyntheticKind.MOONS, n=10_000, seed=1)))
+
+(and the same with ``make_circles``).  It builds a 10,000 x 10,000 cost
+matrix (800 MB) and takes 20-30 s.  The estimate moves with the seeds: the
+pairs (0, 1) and (2, 3) give 0.064 and 0.057 for moons, 0.054 and 0.063
+for circles (NumPy 2.4, SciPy 1.17).  Scaling the coordinates scales every
+divergence linearly, so it changes no ranking.
 """
 
 from __future__ import annotations

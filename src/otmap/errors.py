@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Every error raised on a contract violation derives from :class:`OtmapError`,
-so callers (notably the CLI) can map failures onto exit codes without
-enumerating modules.
+so a caller can catch every package failure with one ``except`` clause
+without enumerating modules.
 """
 
 from __future__ import annotations

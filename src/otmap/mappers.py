@@ -22,9 +22,18 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
-from .errors import InvalidCount, SpecError, TooFewPoints, UnsupportedMetric
-from .nn import AdamState, Mlp, _backward_from_cache, _forward_cached, adam_step, init_adam
+from .errors import InvalidCount, SizeMismatch, SpecError, TooFewPoints, UnsupportedMetric
+from .nn import (
+    AdamState,
+    Mlp,
+    _backward_from_cache,
+    _forward_cached,
+    adam_step,
+    forward,
+    init_adam,
+)
 from .ot import (
     Assignment,
     CostMetric,
@@ -34,8 +43,10 @@ from .ot import (
     solve_assignment,
 )
 
-# Above this batch size the diversity penalty subsamples pairs instead of
-# enumerating all k(k-1)/2 of them.
+# Up to this batch size the diversity penalty uses every pair, through a
+# dense k x k float64 distance matrix and one work array of the same size
+# (2 MiB each at the cutoff).  Above it, a random subsample of 2k pairs
+# keeps the cost linear in k.
 DIVERSITY_EXACT_MAX_K = 512
 
 
@@ -132,21 +143,34 @@ class TrainResult:
     pairing_digest_after: str | None = None
 
 
-def _mean_pair_distance(x: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> float:
-    i, j = pairs
-    return float(np.linalg.norm(x[i] - x[j], axis=1).mean())
-
-
 def _pair_indices(k: int, rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
-    if k <= DIVERSITY_EXACT_MAX_K:
-        return np.triu_indices(k, 1)
-    # Subsample 2k unordered pairs; O(k^2) enumeration is not worth it here.
+    # 2k random unordered pairs (i, j), j != i, for the subsampled penalty.
     if rng is None:
         rng = np.random.default_rng(0)
     i = rng.integers(0, k, size=2 * k)
     j = rng.integers(0, k - 1, size=2 * k)
     j = np.where(j >= i, j + 1, j)  # j != i, uniform over the rest
     return i, j
+
+
+def _unit_difference_sums(x: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Row i: sum over j of (x_i - x_j) / max(||x_i - x_j||, 1e-12).
+
+    ``dist`` is the condensed (``pdist``) distance vector of ``x``.  Each
+    coordinate column is differenced explicitly, so a coincident pair adds
+    exactly zero (a ``W.sum(1) * x - W @ x`` form would cancel
+    catastrophically against the 1e12 weights the floor gives such pairs).
+    """
+    denom = squareform(dist)
+    np.maximum(denom, 1e-12, out=denom)
+    work = np.empty_like(denom)
+    sums = np.empty_like(x)
+    for c in range(x.shape[1]):
+        col = x[:, c]
+        np.subtract.outer(col, col, out=work)
+        work /= denom
+        sums[:, c] = work.sum(axis=1)
+    return sums
 
 
 def diversity_penalty(
@@ -160,33 +184,35 @@ def diversity_penalty(
     2k point pairs (pass ``rng`` to control it).
     """
     if p.k != z.k or p.d != z.d:
-        raise TooFewPoints(f"sets must match in shape: ({p.k}, {p.d}) vs ({z.k}, {z.d})")
+        raise SizeMismatch(f"sets must match in shape: ({p.k}, {p.d}) vs ({z.k}, {z.d})")
     if p.k < 2:
         raise TooFewPoints(f"diversity penalty needs k >= 2, got k={p.k}")
-    pairs = _pair_indices(p.k, rng)
-    mpd_p = _mean_pair_distance(p.data, pairs)
-    mpd_z = _mean_pair_distance(z.data, pairs)
-    value = abs(mpd_p - mpd_z)
-    sign = np.sign(mpd_p - mpd_z)
-    i, j = pairs
-    diff = p.data[i] - p.data[j]
-    norms = np.linalg.norm(diff, axis=1)
-    units = diff / np.maximum(norms, 1e-12)[:, None]
-    grad = np.zeros_like(p.data)
-    np.add.at(grad, i, units)
-    np.add.at(grad, j, -units)
-    grad *= sign / len(i)
-    return value, grad
+    if p.k <= DIVERSITY_EXACT_MAX_K:
+        dist_p = pdist(p.data)
+        mpd_p = float(dist_p.mean())
+        mpd_z = float(pdist(z.data).mean())
+        grad = _unit_difference_sums(p.data, dist_p)
+        n_pairs = len(dist_p)
+    else:
+        i, j = _pair_indices(p.k, rng)
+        diff = p.data[i] - p.data[j]
+        norms = np.linalg.norm(diff, axis=1)
+        mpd_p = float(norms.mean())
+        mpd_z = float(np.linalg.norm(z.data[i] - z.data[j], axis=1).mean())
+        units = diff / np.maximum(norms, 1e-12)[:, None]
+        grad = np.zeros_like(p.data)
+        np.add.at(grad, i, units)
+        np.add.at(grad, j, -units)
+        n_pairs = len(i)
+    grad *= np.sign(mpd_p - mpd_z) / n_pairs
+    return abs(mpd_p - mpd_z), grad
 
 
 def generate(net: Mlp, prior: PriorSpec, n: int, rng: np.random.Generator | None = None) -> PointSet:
     """Push n fresh prior samples through the network."""
     if n < 1:
         raise InvalidCount(f"need n >= 1 generated points, got {n}")
-    noise = sample_prior(prior, n, rng)
-    from .nn import forward  # local import keeps module load order simple
-
-    return forward(net, noise)
+    return forward(net, sample_prior(prior, n, rng))
 
 
 def pool_sampler(
@@ -329,12 +355,25 @@ def _spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
 
 
 # ---------------------------------------------------------------------------
-# Feedback trace serialization (consumed by the plot command)
+# Feedback trace serialization (a trace feeds plots.write_feedback_svg)
 # ---------------------------------------------------------------------------
 
 
 def feedback_traces_to_json(traces: list[FeedbackTrace]) -> str:
-    """JSON array of trace objects; schema documented in the README."""
+    """JSON array with one object per trace, in the order given.
+
+    Each object has these keys (k is the trace's batch size, d_in the
+    prior dimension, d the target dimension):
+
+    - ``step``: int, the training step the trace was taken at;
+    - ``loss``: float, that step's training objective;
+    - ``noise``: k x d_in nested list of floats, the prior batch;
+    - ``predictions``: k x d nested list of floats, the network's outputs;
+    - ``targets``: k x d nested list of floats, the target batch;
+    - ``perm``: list of k ints, a permutation of 0..k-1; prediction i is
+      matched to ``targets[perm[i]]``;
+    - ``total_cost``: float, the assignment's total squared Euclidean cost.
+    """
     import json
 
     return json.dumps(

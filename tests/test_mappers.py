@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from otmap.datasets import SyntheticKind, SyntheticSpec, make_moons
-from otmap.errors import InvalidCount, SpecError, TooFewPoints, UnsupportedMetric
+from otmap.errors import InvalidCount, SizeMismatch, SpecError, TooFewPoints, UnsupportedMetric
 from otmap.mappers import (
+    DIVERSITY_EXACT_MAX_K,
     PriorSpec,
     TrainConfig,
     diversity_penalty,
@@ -36,6 +37,22 @@ def mean_pair_distance(x: np.ndarray) -> float:
             total += float(np.linalg.norm(x[i] - x[j]))
             count += 1
     return total / count
+
+
+def all_pairs_penalty_reference(p: np.ndarray, z: np.ndarray) -> tuple[float, np.ndarray]:
+    # Pair-list form of the exact penalty: enumerate i < j, gather both
+    # endpoints, scatter the unit vectors with np.add.at.
+    i, j = np.triu_indices(len(p), 1)
+    diff = p[i] - p[j]
+    norms = np.linalg.norm(diff, axis=1)
+    mpd_p = float(norms.mean())
+    mpd_z = float(np.linalg.norm(z[i] - z[j], axis=1).mean())
+    units = diff / np.maximum(norms, 1e-12)[:, None]
+    grad = np.zeros_like(p)
+    np.add.at(grad, i, units)
+    np.add.at(grad, j, -units)
+    grad *= np.sign(mpd_p - mpd_z) / len(i)
+    return abs(mpd_p - mpd_z), grad
 
 
 class TestSamplePrior:
@@ -119,6 +136,34 @@ class TestDiversityPenalty:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             diversity_penalty(PointSet([[0.0, 0.0]]), PointSet([[1.0, 1.0]]))
+
+    @pytest.mark.parametrize("z_shape", [(5, 2), (4, 3)])
+    def test_shape_mismatch(self, z_shape):
+        p = PointSet(np.zeros((4, 2)))
+        with pytest.raises(SizeMismatch):
+            diversity_penalty(p, PointSet(np.ones(z_shape)))
+
+    def test_exact_path_matches_pair_enumeration_with_duplicates(self):
+        rng = np.random.default_rng(6)
+        k = DIVERSITY_EXACT_MAX_K
+        p = rng.normal(size=(k, 2))
+        p[1] = p[0]  # exact duplicates
+        p[7] = p[0]
+        p[3] = p[2] + np.array([1e-13, 0.0])  # closer than the 1e-12 floor
+        z = 1.5 * rng.normal(size=(k, 2))
+        value, grad = diversity_penalty(PointSet(p), PointSet(z))
+        ref_value, ref_grad = all_pairs_penalty_reference(p, z)
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+    def test_coincident_points_add_nothing(self):
+        # Every pair is coincident, so every term of the gradient is zero.
+        k = DIVERSITY_EXACT_MAX_K
+        p = np.tile([0.3, -1.7], (k, 1))
+        z = np.random.default_rng(7).normal(size=(k, 2))
+        value, grad = diversity_penalty(PointSet(p), PointSet(z))
+        assert value == pytest.approx(all_pairs_penalty_reference(p, z)[0], rel=1e-12)
+        assert np.array_equal(grad, np.zeros((k, 2)))
 
 
 class TestPoolSampler:
@@ -295,6 +340,18 @@ class TestTrainOtgen:
             gen1 = generate(result.net, prior, 400, np.random.default_rng(400 + seed))
             after.append(ot_divergence(gen1, eval_real))
         assert np.median(after) < np.median(before)
+
+    def test_deterministic_with_diversity_penalty(self):
+        pool = make_moons(SyntheticSpec(SyntheticKind.MOONS, n=256, seed=3))
+        cfg = TrainConfig(
+            prior=PriorSpec(dim=2, seed=4), steps=20, batch_k=32, lambda_div=0.5, seed=5
+        )
+        r1 = train_otgen(pool_sampler(pool, 32, seed=6), cfg, small_mapper(seed=7))
+        r2 = train_otgen(pool_sampler(pool, 32, seed=6), cfg, small_mapper(seed=7))
+        assert np.array_equal(r1.losses, r2.losses)
+        for la, lb in zip(r1.net.layers, r2.net.layers):
+            assert np.array_equal(la.weight, lb.weight)
+            assert np.array_equal(la.bias, lb.bias)
 
     def test_trace_round_trip_through_json(self):
         pool = make_moons(SyntheticSpec(SyntheticKind.MOONS, n=64, seed=1))
