@@ -15,7 +15,7 @@ import numpy as np
 
 from .datasets import ImageBatch
 from .errors import SizeMismatch, SpecError
-from .mappers import TrainConfig
+from .mappers import TrainConfig, _epoch_indices
 from .nn import (
     Activation,
     LayerSpec,
@@ -90,16 +90,9 @@ def train_autoencoder(images: ImageBatch, spec: AutoencoderSpec, cfg: TrainConfi
 
     adam_enc = init_adam(encoder)
     adam_dec = init_adam(decoder)
-    batch_k = min(cfg.batch_k, images.n)
-    order = batch_rng.permutation(images.n)
-    cursor = 0
+    batches = _epoch_indices(images.n, min(cfg.batch_k, images.n), batch_rng)
     losses = np.empty(cfg.steps)
-    for step in range(cfg.steps):
-        if cursor + batch_k > images.n:
-            order = batch_rng.permutation(images.n)
-            cursor = 0
-        idx = order[cursor : cursor + batch_k]
-        cursor += batch_k
+    for step, idx in zip(range(cfg.steps), batches):
         x = images.pixels[idx]
         latent, enc_cache = _forward_cached(encoder, x)
         recon, dec_cache = _forward_cached(decoder, latent)

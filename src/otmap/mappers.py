@@ -10,23 +10,24 @@ point distribution, using exact assignments as the supervision signal:
   network's current batch of predictions and a fresh batch of targets, and
   regresses each prediction onto its matched target.
 
-The assignment is always treated as a constant during backprop: it is
-piecewise constant in the network weights, so no gradient flows through
-the solver.
+They differ only in where each step's pairs come from.  Both run the same
+step (``_fit``): forward the batch's noise, ask the batch's pairing for the
+matched targets (and any extra objective term), then squared cost, backward
+and one Adam update.  The assignment is always treated as a constant during
+backprop: it is piecewise constant in the network weights, so no gradient
+flows through the solver.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .errors import InvalidCount, SizeMismatch, SpecError, TooFewPoints, UnsupportedMetric
+from .errors import InvalidCount, OtmapError, SizeMismatch, SpecError, TooFewPoints
 from .nn import (
-    AdamState,
     Mlp,
     _backward_from_cache,
     _forward_cached,
@@ -38,7 +39,6 @@ from .ot import (
     Assignment,
     CostMetric,
     PointSet,
-    matched_distances,
     pairwise_cost,
     solve_assignment,
 )
@@ -81,10 +81,11 @@ def sample_prior(spec: PriorSpec, k: int, rng: np.random.Generator | None = None
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of one training run.
+    """Hyperparameters of one training run (the cost is squared Euclidean).
 
     ``prior`` is required by the mapper trainers and ignored by the
-    autoencoder trainer.
+    autoencoder trainer; ``lambda_div`` and ``trace_every`` are read by
+    ``train_otgen`` only.  OTTrans's pool is the target set it is given.
     """
 
     prior: PriorSpec | None = None
@@ -92,9 +93,7 @@ class TrainConfig:
     batch_k: int = 128
     lr: float = 3e-4
     lambda_div: float = 0.0
-    transport_pool_m: int = 4096
     seed: int = 0
-    cost: CostMetric = CostMetric.SQUARED_EUCLIDEAN
     trace_every: int = 0  # 0 disables feedback traces
 
     def __post_init__(self) -> None:
@@ -106,10 +105,6 @@ class TrainConfig:
             raise SpecError(f"lr must be positive, got {self.lr}")
         if self.lambda_div < 0:
             raise SpecError(f"lambda_div must be >= 0, got {self.lambda_div}")
-        if self.batch_k > self.transport_pool_m:
-            raise SpecError(
-                f"batch_k ({self.batch_k}) cannot exceed transport_pool_m ({self.transport_pool_m})"
-            )
         if self.trace_every < 0:
             raise SpecError(f"trace_every must be >= 0, got {self.trace_every}")
 
@@ -130,17 +125,17 @@ class FeedbackTrace:
 class TrainResult:
     """Trained network plus the per-step loss curve.
 
-    ``losses`` holds the training objective per step (squared cost plus any
-    weighted diversity term); ``matched_dist`` the mean Euclidean distance
-    over that step's matched pairs, a cheap running divergence estimate.
+    Both mappers fill it from the same training step.  ``losses`` holds
+    the training objective per step (squared cost plus any weighted
+    diversity term); ``matched_dist`` the mean Euclidean distance over that
+    step's matched pairs, a cheap running divergence estimate; ``traces``
+    the OTGen feedback snapshots (empty for OTTrans).
     """
 
     net: Mlp
     losses: np.ndarray
     matched_dist: np.ndarray
     traces: list[FeedbackTrace] = field(default_factory=list)
-    pairing_digest: str | None = None
-    pairing_digest_after: str | None = None
 
 
 def _pair_indices(k: int, rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
@@ -215,33 +210,23 @@ def generate(net: Mlp, prior: PriorSpec, n: int, rng: np.random.Generator | None
     return forward(net, sample_prior(prior, n, rng))
 
 
+def _epoch_indices(n: int, batch_k: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    # Endless batches of batch_k indices into 0..n-1: each epoch is one
+    # rng.permutation(n), cut into whole batches; a short remainder is dropped.
+    while True:
+        order = rng.permutation(n)
+        for start in range(0, n - batch_k + 1, batch_k):
+            yield order[start : start + batch_k]
+
+
 def pool_sampler(
     pool: PointSet, batch_k: int, seed: int
 ) -> Callable[[], PointSet]:
     """Epoch-style batch source: without replacement, reshuffled when spent."""
     if batch_k > pool.k:
         raise SpecError(f"batch_k ({batch_k}) exceeds pool size ({pool.k})")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(pool.k)
-    cursor = 0
-
-    def next_batch() -> PointSet:
-        nonlocal order, cursor
-        if cursor + batch_k > pool.k:
-            order = rng.permutation(pool.k)
-            cursor = 0
-        idx = order[cursor : cursor + batch_k]
-        cursor += batch_k
-        return PointSet(pool.data[idx])
-
-    return next_batch
-
-
-def _pairing_digest(noise: np.ndarray, matched: np.ndarray) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(noise).tobytes())
-    h.update(np.ascontiguousarray(matched).tobytes())
-    return h.hexdigest()
+    batches = _epoch_indices(pool.k, batch_k, np.random.default_rng(seed))
+    return lambda: PointSet(pool.data[next(batches)])
 
 
 def _squared_cost_and_grad(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -251,6 +236,39 @@ def _squared_cost_and_grad(pred: np.ndarray, target: np.ndarray) -> tuple[float,
     return loss, (2.0 / len(diff)) * diff
 
 
+def _fit(net: Mlp, cfg: TrainConfig, batches: Iterator[tuple[np.ndarray, Callable]]) -> TrainResult:
+    """The training step both mappers share, run for ``cfg.steps`` batches.
+
+    Each batch is (network input, pairing).  The pairing maps the forward
+    output to its matched targets and an optional extra objective term
+    (value, gradient wrt the output), already weighted; it is called once,
+    before the next batch is drawn.
+    """
+    adam = init_adam(net)
+    losses = np.empty(cfg.steps)
+    dists = np.empty(cfg.steps)
+    for step, (x, pair) in zip(range(cfg.steps), batches):
+        out, cache = _forward_cached(net, x)
+        y, extra = pair(out)
+        loss, out_grad = _squared_cost_and_grad(out, y)
+        if extra is not None:
+            loss += extra[0]
+            out_grad = out_grad + extra[1]
+        grads, _ = _backward_from_cache(net, cache, out_grad)
+        adam_step(net, grads, adam, cfg.lr)
+        losses[step] = loss
+        dists[step] = float(np.linalg.norm(out.astype(np.float64) - y, axis=1).mean())
+    return TrainResult(net=net, losses=losses, matched_dist=dists)
+
+
+def _check_mapper(cfg: TrainConfig, net: Mlp) -> PriorSpec:
+    if cfg.prior is None:
+        raise SpecError("mapper training needs a prior spec")
+    if net.in_dim != cfg.prior.dim:
+        raise SpecError(f"network input dim {net.in_dim} != prior dim {cfg.prior.dim}")
+    return cfg.prior
+
+
 def train_ottrans(targets: PointSet, cfg: TrainConfig, net: Mlp) -> TrainResult:
     """Learn one precomputed noise-to-target bijection by minibatch regression.
 
@@ -258,46 +276,26 @@ def train_ottrans(targets: PointSet, cfg: TrainConfig, net: Mlp) -> TrainResult:
     is drawn once, one m x m assignment is solved, and the resulting pairs
     stay frozen while the network trains on random minibatches of them.
     """
-    if cfg.cost is not CostMetric.SQUARED_EUCLIDEAN:
-        raise UnsupportedMetric("training requires the squared Euclidean cost")
-    if cfg.prior is None:
-        raise SpecError("mapper training needs a prior spec")
+    prior = _check_mapper(cfg, net)
     m = targets.k
     if cfg.batch_k > m:
         raise SpecError(f"batch_k ({cfg.batch_k}) exceeds the target pool size ({m})")
-    if net.in_dim != cfg.prior.dim:
-        raise SpecError(f"network input dim {net.in_dim} != prior dim {cfg.prior.dim}")
     if net.out_dim != targets.d:
         raise SpecError(f"network output dim {net.out_dim} != target dim {targets.d}")
 
     prior_rng, batch_rng = _spawn_rngs(cfg.seed, 2)
-    noise = sample_prior(cfg.prior, m, prior_rng)  # PoolTooLarge surfaces in pairwise_cost
-    sigma = solve_assignment(pairwise_cost(noise, targets, cfg.cost))
+    noise = sample_prior(prior, m, prior_rng)  # PoolTooLarge surfaces in pairwise_cost
+    sigma = solve_assignment(pairwise_cost(noise, targets, CostMetric.SQUARED_EUCLIDEAN))
     matched = targets.data[sigma.perm]
     matched.setflags(write=False)
-    digest = _pairing_digest(noise.data, matched)
 
-    adam = init_adam(net)
-    losses = np.empty(cfg.steps)
-    dists = np.empty(cfg.steps)
-    for step in range(cfg.steps):
-        idx = batch_rng.choice(m, size=cfg.batch_k, replace=False)
-        x = noise.data[idx]
-        y = matched[idx]
-        out, cache = _forward_cached(net, x)
-        loss, out_grad = _squared_cost_and_grad(out, y)
-        grads, _ = _backward_from_cache(net, cache, out_grad)
-        adam_step(net, grads, adam, cfg.lr)
-        losses[step] = loss
-        dists[step] = float(np.linalg.norm(out.astype(np.float64) - y, axis=1).mean())
+    def frozen_pairs() -> Iterator[tuple[np.ndarray, Callable]]:
+        while True:
+            idx = batch_rng.choice(m, size=cfg.batch_k, replace=False)
+            y = matched[idx]
+            yield noise.data[idx], lambda out: (y, None)
 
-    return TrainResult(
-        net=net,
-        losses=losses,
-        matched_dist=dists,
-        pairing_digest=digest,
-        pairing_digest_after=_pairing_digest(noise.data, matched),
-    )
+    return _fit(net, cfg, frozen_pairs())
 
 
 def train_otgen(
@@ -310,44 +308,36 @@ def train_otgen(
     step on the matched squared cost plus ``lambda_div`` times the diversity
     penalty, with the assignment held fixed.
     """
-    if cfg.cost is not CostMetric.SQUARED_EUCLIDEAN:
-        raise UnsupportedMetric("training requires the squared Euclidean cost")
-    if cfg.prior is None:
-        raise SpecError("mapper training needs a prior spec")
-    if net.in_dim != cfg.prior.dim:
-        raise SpecError(f"network input dim {net.in_dim} != prior dim {cfg.prior.dim}")
-
+    prior = _check_mapper(cfg, net)
     prior_rng, div_rng = _spawn_rngs(cfg.seed, 2)
-    adam = init_adam(net)
-    losses = np.empty(cfg.steps)
-    dists = np.empty(cfg.steps)
-    traces: list[FeedbackTrace] = []
-    for step in range(cfg.steps):
-        z = target_sampler()
-        if z.k != cfg.batch_k:
-            raise SpecError(f"target sampler returned {z.k} points, expected {cfg.batch_k}")
-        noise = sample_prior(cfg.prior, cfg.batch_k, prior_rng)
-        out, cache = _forward_cached(net, noise.data)
-        preds = PointSet(out)
-        sigma = solve_assignment(pairwise_cost(preds, z, cfg.cost))
-        loss, out_grad = _squared_cost_and_grad(out, z.data[sigma.perm])
-        if cfg.lambda_div > 0:
-            dval, dgrad = diversity_penalty(preds, z, div_rng)
-            loss += cfg.lambda_div * dval
-            out_grad = out_grad + cfg.lambda_div * dgrad
-        grads, _ = _backward_from_cache(net, cache, out_grad)
-        adam_step(net, grads, adam, cfg.lr)
-        losses[step] = loss
-        dists[step] = float(matched_distances(preds, z, sigma, CostMetric.EUCLIDEAN).mean())
-        if cfg.trace_every and (step % cfg.trace_every == 0 or step == cfg.steps - 1):
-            traces.append(
-                FeedbackTrace(
-                    step=step, noise=noise, predictions=preds, targets=z,
-                    sigma=sigma, loss=loss,
-                )
-            )
+    snapshots: list[tuple[int, PointSet, PointSet, PointSet, Assignment]] = []
 
-    return TrainResult(net=net, losses=losses, matched_dist=dists, traces=traces)
+    def rematched() -> Iterator[tuple[np.ndarray, Callable]]:
+        for step in range(cfg.steps):
+            z = target_sampler()
+            if z.k != cfg.batch_k:
+                raise SpecError(f"target sampler returned {z.k} points, expected {cfg.batch_k}")
+            noise = sample_prior(prior, cfg.batch_k, prior_rng)
+
+            def pair(out: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+                preds = PointSet(out)
+                sigma = solve_assignment(pairwise_cost(preds, z, CostMetric.SQUARED_EUCLIDEAN))
+                extra = None
+                if cfg.lambda_div > 0:
+                    dval, dgrad = diversity_penalty(preds, z, div_rng)
+                    extra = (cfg.lambda_div * dval, cfg.lambda_div * dgrad)
+                if cfg.trace_every and (step % cfg.trace_every == 0 or step == cfg.steps - 1):
+                    snapshots.append((step, noise, preds, z, sigma))
+                return z.data[sigma.perm], extra
+
+            yield noise.data, pair
+
+    result = _fit(net, cfg, rematched())
+    result.traces = [
+        FeedbackTrace(step, noise, preds, z, sigma, loss=float(result.losses[step]))
+        for step, noise, preds, z, sigma in snapshots
+    ]
+    return result
 
 
 def _spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
@@ -419,6 +409,6 @@ def feedback_traces_from_json(text: str) -> list[FeedbackTrace]:
                     loss=float(obj["loss"]),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OtmapError) as exc:
             raise SpecError(f"trace entry {i} is malformed: {exc}") from exc
     return traces

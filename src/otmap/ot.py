@@ -96,11 +96,21 @@ class Assignment:
     """A minimum-cost bijection between two equal-size point sets.
 
     ``perm[i]`` is the target index matched to source point i;  ``perm``
-    is always a permutation of 0..k-1.
+    is always a permutation of 0..k-1 (checked on construction, else
+    :class:`SizeMismatch`).
     """
 
     perm: np.ndarray
     total_cost: float
+
+    def __post_init__(self) -> None:
+        perm = np.asarray(self.perm)
+        k = len(perm) if perm.ndim == 1 else 0
+        in_range = k > 0 and perm.dtype.kind in "iu" and perm.min() >= 0 and perm.max() < k
+        if not (in_range and (np.bincount(perm.astype(np.intp), minlength=k) == 1).all()):
+            raise SizeMismatch(
+                f"perm must be a 1-D integer permutation of 0..k-1, got shape {perm.shape}, dtype {perm.dtype}"
+            )
 
     @property
     def k(self) -> int:
@@ -177,23 +187,3 @@ def ot_divergence(
     sigma = solve_assignment(pairwise_cost(a, b, assign_metric))
     return float(matched_distances(a, b, sigma, report_metric).mean())
 
-
-def assignment_cost_gradient(
-    a: PointSet,
-    b: PointSet,
-    sigma: Assignment,
-    metric: CostMetric = CostMetric.SQUARED_EUCLIDEAN,
-) -> np.ndarray:
-    """Gradient of (1/k) sum_i c(a_i, b_{sigma(i)}) with respect to a.
-
-    The bijection is held fixed (no gradient flows through the solver), so
-    for squared Euclidean cost the gradient is (2/k) (a_i - b_{sigma(i)}).
-    Only squared Euclidean is supported; anything else raises
-    :class:`UnsupportedMetric`.
-    """
-    if metric is not CostMetric.SQUARED_EUCLIDEAN:
-        raise UnsupportedMetric(f"assignment cost gradient requires squared Euclidean, got {metric.value}")
-    _check_same_shape(a, b)
-    if sigma.k != a.k:
-        raise SizeMismatch(f"assignment covers {sigma.k} points but sets have {a.k}")
-    return (2.0 / a.k) * (a.data - b.data[sigma.perm])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from otmap import autoenc
 from otmap.autoenc import (
     AutoencoderSpec,
     autoencoder_layer_specs,
@@ -76,6 +77,34 @@ class TestTraining:
         assert np.array_equal(a.losses, b.losses)
         for la, lb in zip(a.encoder.layers, b.encoder.layers):
             assert np.array_equal(la.weight, lb.weight)
+
+    def test_batches_sweep_epochs_without_replacement(self, monkeypatch):
+        # n=10, batch 4: two disjoint batches per epoch, then the remainder
+        # of 2 is dropped and step 3 starts a fresh shuffle.
+        images = tiny_images(n=10)
+        spec = AutoencoderSpec(input_dim=36, hidden=(8,), latent_dim=4)
+        cfg = TrainConfig(steps=4, batch_k=4, lr=1e-3, seed=5)
+        forward = autoenc._forward_cached
+
+        def batch_indices() -> list[list[int]]:
+            steps = []
+
+            def record(net, x):
+                if x.shape[1] == spec.input_dim:  # the encoder's input
+                    steps.append([int(np.flatnonzero((images.pixels == row).all(axis=1))[0]) for row in x])
+                return forward(net, x)
+
+            monkeypatch.setattr(autoenc, "_forward_cached", record)
+            train_autoencoder(images, spec, cfg)
+            return steps
+
+        steps = batch_indices()
+        assert steps == batch_indices()
+        assert not set(steps[0]) & set(steps[1])
+        # The batch stream is the third child of SeedSequence(cfg.seed).
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed).spawn(3)[2]))
+        first, second = rng.permutation(10).tolist(), rng.permutation(10).tolist()
+        assert steps == [first[:4], first[4:8], second[:4], second[4:8]]
 
     def test_input_dim_mismatch(self):
         with pytest.raises(SizeMismatch):

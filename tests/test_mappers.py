@@ -1,10 +1,13 @@
 """Prior sampling, the diversity penalty, and both mapper trainers."""
 
+import json
+
 import numpy as np
 import pytest
 
+from otmap import mappers
 from otmap.datasets import SyntheticKind, SyntheticSpec, make_moons
-from otmap.errors import InvalidCount, SizeMismatch, SpecError, TooFewPoints, UnsupportedMetric
+from otmap.errors import InvalidCount, SizeMismatch, SpecError, TooFewPoints
 from otmap.mappers import (
     DIVERSITY_EXACT_MAX_K,
     PriorSpec,
@@ -225,12 +228,37 @@ class TestTrainOttrans:
         out = generate(result.net, cfg.prior, 64, np.random.default_rng(99))
         assert np.abs(out.data - q).max() < 0.05
 
-    def test_supervision_pairs_never_change(self):
+    def test_minibatches_come_from_the_frozen_pairing(self, monkeypatch):
+        # Record every step's (network input, regression target) and check
+        # each row against a pairing solved independently on the same pool.
         targets = make_moons(SyntheticSpec(SyntheticKind.MOONS, n=128, seed=0))
         cfg = TrainConfig(prior=PriorSpec(dim=2, seed=2), steps=50, batch_k=16, seed=3)
-        result = train_ottrans(targets, cfg, small_mapper(seed=4))
-        assert result.pairing_digest is not None
-        assert result.pairing_digest == result.pairing_digest_after
+        xs, ys = [], []
+        forward, cost = mappers._forward_cached, mappers._squared_cost_and_grad
+
+        def record_input(net, x):
+            xs.append(np.array(x))
+            return forward(net, x)
+
+        def record_target(pred, target):
+            ys.append(np.array(target))
+            return cost(pred, target)
+
+        monkeypatch.setattr(mappers, "_forward_cached", record_input)
+        monkeypatch.setattr(mappers, "_squared_cost_and_grad", record_target)
+        train_ottrans(targets, cfg, small_mapper(seed=4))
+
+        # The noise pool is the first of the two streams spawned from cfg.seed.
+        prior_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed).spawn(2)[0]))
+        pool = sample_prior(cfg.prior, targets.k, prior_rng)
+        sigma = solve_assignment(pairwise_cost(pool, targets, CostMetric.SQUARED_EUCLIDEAN))
+        assert len(xs) == len(ys) == cfg.steps
+        for x, y in zip(xs, ys):
+            hits = np.all(x[:, None, :] == pool.data[None, :, :], axis=2)
+            assert (hits.sum(axis=1) == 1).all()  # each input row is one pool row
+            rows = hits.argmax(axis=1)
+            assert len(set(rows.tolist())) == cfg.batch_k  # drawn without replacement
+            np.testing.assert_array_equal(y, targets.data[sigma.perm[rows]])
 
     def test_deterministic_runs(self):
         targets = make_moons(SyntheticSpec(SyntheticKind.MOONS, n=64, seed=5))
@@ -243,14 +271,8 @@ class TestTrainOttrans:
 
     def test_batch_exceeding_pool(self):
         targets = PointSet(np.zeros((8, 2)))
-        cfg = TrainConfig(prior=PriorSpec(dim=2), steps=1, batch_k=16, transport_pool_m=16)
+        cfg = TrainConfig(prior=PriorSpec(dim=2), steps=1, batch_k=16)
         with pytest.raises(SpecError):
-            train_ottrans(targets, cfg, small_mapper())
-
-    def test_requires_squared_cost(self):
-        targets = PointSet(np.zeros((8, 2)))
-        cfg = TrainConfig(prior=PriorSpec(dim=2), steps=1, batch_k=4, cost=CostMetric.EUCLIDEAN)
-        with pytest.raises(UnsupportedMetric):
             train_ottrans(targets, cfg, small_mapper())
 
 
@@ -368,3 +390,16 @@ class TestTrainOtgen:
     def test_malformed_trace_reports_index(self):
         with pytest.raises(SpecError, match="entry 0"):
             feedback_traces_from_json('[{"step": 1}]')
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [("perm", [0, 0]), ("noise", [[float("nan"), 0.0], [1.0, 1.0]])],
+        ids=["non-permutation", "nan-point"],
+    )
+    def test_invalid_trace_entry_reports_index(self, key, bad):
+        pts = [[0.0, 0.0], [1.0, 1.0]]
+        entry = {"step": 0, "loss": 0.0, "noise": pts, "predictions": pts, "targets": pts,
+                 "perm": [0, 1], "total_cost": 0.0}
+        assert len(feedback_traces_from_json(json.dumps([entry]))) == 1
+        with pytest.raises(SpecError, match="entry 0"):
+            feedback_traces_from_json(json.dumps([{**entry, key: bad}]))

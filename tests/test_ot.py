@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otmap.errors import InvalidCost, PoolTooLarge, SizeMismatch, UnsupportedMetric
+from otmap.errors import InvalidCost, PoolTooLarge, SizeMismatch
+from otmap.mappers import _squared_cost_and_grad
 from otmap.ot import (
     Assignment,
     CostMatrix,
     CostMetric,
     PointSet,
-    assignment_cost_gradient,
     matched_distances,
     ot_divergence,
     pairwise_cost,
@@ -181,18 +181,29 @@ class TestOtDivergence:
         assert ot_divergence(a, b, m, m) == pytest.approx(ot_divergence(b, a, m, m), rel=1e-12)
 
 
+class TestAssignment:
+    @pytest.mark.parametrize(
+        "perm",
+        [[0, 0, 1], [0, 1, 3], [-1, 0, 1], [[0, 1], [1, 0]], [0.0, 1.0], np.array([], dtype=np.int64)],
+        ids=["repeat", "out-of-range", "negative", "2-d", "float", "empty"],
+    )
+    def test_rejects_non_permutation(self, perm):
+        with pytest.raises(SizeMismatch):
+            Assignment(perm=np.asarray(perm), total_cost=0.0)
+
+
 class TestAssignmentCostGradient:
     def test_zero_at_minimum(self):
         rng = np.random.default_rng(2)
         a = PointSet(rng.normal(size=(6, 2)))
         sigma = Assignment(perm=np.arange(6), total_cost=0.0)
-        grad = assignment_cost_gradient(a, a, sigma)
+        _, grad = _squared_cost_and_grad(a.data, a.data[sigma.perm])
         np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_single_point_closed_form(self):
         a, b = PointSet([[1.0, 0.0]]), PointSet([[0.0, 0.0]])
         sigma = Assignment(perm=np.array([0]), total_cost=1.0)
-        np.testing.assert_allclose(assignment_cost_gradient(a, b, sigma), [[2.0, 0.0]])
+        np.testing.assert_allclose(_squared_cost_and_grad(a.data, b.data[sigma.perm])[1], [[2.0, 0.0]])
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(17)
@@ -205,7 +216,7 @@ class TestAssignmentCostGradient:
             pts = PointSet(flat.reshape(k, d))
             return float(matched_distances(pts, b, sigma, CostMetric.SQUARED_EUCLIDEAN).mean())
 
-        grad = assignment_cost_gradient(PointSet(a_rows), b, sigma)
+        _, grad = _squared_cost_and_grad(a_rows, b.data[sigma.perm])
         h = 1e-6
         flat = a_rows.ravel().copy()
         for idx in range(flat.size):
@@ -215,9 +226,3 @@ class TestAssignmentCostGradient:
             fd = (frozen_objective(up) - frozen_objective(down)) / (2 * h)
             rel = abs(fd - grad.ravel()[idx]) / max(abs(fd), 1e-12)
             assert rel < 1e-5
-
-    def test_rejects_other_metrics(self):
-        a = PointSet([[0.0, 0.0]])
-        sigma = Assignment(perm=np.array([0]), total_cost=0.0)
-        with pytest.raises(UnsupportedMetric):
-            assignment_cost_gradient(a, a, sigma, CostMetric.EUCLIDEAN)
