@@ -33,6 +33,8 @@ class ClusterModel:
             raise ModelError("cluster weights must be non-negative and sum to 1")
         if self.means.shape[0] != len(w) or self.covariances.shape[:2] != (len(w), self.means.shape[1]):
             raise ModelError("weights, means, and covariances disagree on k or d")
+        if not (np.isfinite(self.means).all() and np.isfinite(self.covariances).all()):
+            raise ModelError("cluster means and covariances must be finite")
         for cov in self.covariances:
             if not np.allclose(cov, cov.T, atol=1e-12):
                 raise ModelError("covariance matrices must be symmetric")

@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .errors import InvalidCount, OtmapError, SizeMismatch, SpecError, TooFewPoints
+from .errors import InvalidCost, InvalidCount, OtmapError, SizeMismatch, SpecError, TooFewPoints
 from .nn import (
     Mlp,
     _backward_from_cache,
@@ -111,7 +111,13 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class FeedbackTrace:
-    """Snapshot of one training step's assignment feedback, for plotting."""
+    """Snapshot of one training step's assignment feedback, for plotting.
+
+    Noise, predictions, targets and ``sigma`` cover the same k points,
+    predictions and targets share a dimension, and ``sigma.total_cost`` is
+    finite and non-negative; otherwise construction raises
+    :class:`SizeMismatch` or :class:`InvalidCost`.
+    """
 
     step: int
     noise: PointSet
@@ -119,6 +125,17 @@ class FeedbackTrace:
     targets: PointSet
     sigma: Assignment
     loss: float
+
+    def __post_init__(self) -> None:
+        counts = (self.noise.k, self.predictions.k, self.targets.k, self.sigma.k)
+        if len(set(counts)) != 1:
+            raise SizeMismatch(f"noise, predictions, targets and perm counts differ: {counts}")
+        if self.predictions.d != self.targets.d:
+            raise SizeMismatch(
+                f"predictions are {self.predictions.d}-d but targets are {self.targets.d}-d"
+            )
+        if not (np.isfinite(self.sigma.total_cost) and self.sigma.total_cost >= 0):
+            raise InvalidCost(f"total_cost must be finite and >= 0, got {self.sigma.total_cost}")
 
 
 @dataclass

@@ -289,14 +289,31 @@ def save_checkpoint(
     np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
 
 
+def _checked(data, key: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    if key not in data.files:
+        raise SpecError(f"checkpoint is missing array {key!r}")
+    arr = data[key]
+    if arr.shape != shape:
+        raise SpecError(f"checkpoint array {key!r} has shape {arr.shape}, expected {shape}")
+    if arr.dtype != dtype:
+        raise SpecError(f"checkpoint array {key!r} has dtype {arr.dtype}, expected {dtype}")
+    return arr
+
+
 def load_checkpoint(path: str | Path) -> CheckpointBundle:
-    """Load a checkpoint written by :func:`save_checkpoint`."""
+    """Load a checkpoint written by :func:`save_checkpoint`.
+
+    Every array must have the shape its layer metadata gives (Adam moments
+    that of their parameter) and the dtype ``meta["dtype"]`` names, else
+    :class:`SpecError` naming the array.
+    """
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise SpecError(f"{path}: not an otmap checkpoint")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise SpecError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+        dtype = np.dtype(meta["dtype"])
         layers = []
         for i, ls in enumerate(meta["layers"]):
             spec = LayerSpec(
@@ -305,14 +322,24 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
                 activation=Activation(ls["activation"]),
                 slope=ls["slope"],
             )
-            layers.append(Layer(weight=data[f"w{i}"].copy(), bias=data[f"b{i}"].copy(), spec=spec))
+            weight = _checked(data, f"w{i}", (spec.out_dim, spec.in_dim), dtype)
+            bias = _checked(data, f"b{i}", (spec.out_dim,), dtype)
+            layers.append(Layer(weight=weight, bias=bias, spec=spec))
         net = Mlp(layers=layers)
+
+        def moments(prefix: str) -> list[tuple[np.ndarray, np.ndarray]]:
+            return [
+                (_checked(data, f"{prefix}w{i}", l.weight.shape, dtype),
+                 _checked(data, f"{prefix}b{i}", l.bias.shape, dtype))
+                for i, l in enumerate(layers)
+            ]
+
         adam = None
         if meta["adam"] is not None:
             a = meta["adam"]
             adam = AdamState(
-                m=[(data[f"mw{i}"].copy(), data[f"mb{i}"].copy()) for i in range(len(layers))],
-                v=[(data[f"vw{i}"].copy(), data[f"vb{i}"].copy()) for i in range(len(layers))],
+                m=moments("m"),
+                v=moments("v"),
                 t=a["t"],
                 beta1=a["beta1"],
                 beta2=a["beta2"],

@@ -125,3 +125,16 @@ class TestClusterModelJson:
                 means=np.zeros((2, 2)),
                 covariances=np.stack([np.eye(2)] * 2),
             )
+
+    def test_nan_means_rejected(self):
+        text = '{"weights": [1.0], "means": [[NaN, 0.0]], "covariances": [[[1.0, 0.0], [0.0, 1.0]]]}'
+        with pytest.raises(ModelError, match="finite"):
+            ClusterModel.from_json(text)
+
+    def test_infinite_covariance_rejected(self):
+        with pytest.raises(ModelError, match="finite"):
+            ClusterModel(
+                weights=np.array([1.0]),
+                means=np.zeros((1, 2)),
+                covariances=np.array([[[np.inf, 0.0], [0.0, 1.0]]]),
+            )

@@ -392,14 +392,26 @@ class TestTrainOtgen:
             feedback_traces_from_json('[{"step": 1}]')
 
     @pytest.mark.parametrize(
-        "key, bad",
-        [("perm", [0, 0]), ("noise", [[float("nan"), 0.0], [1.0, 1.0]])],
-        ids=["non-permutation", "nan-point"],
+        "changes",
+        [
+            {"perm": [0, 0]},
+            {"noise": [[float("nan"), 0.0], [1.0, 1.0]]},
+            {"predictions": [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], "total_cost": -5.0},
+            {"noise": [[0.0, 0.0]]},
+            {"perm": [0, 2, 1]},
+            {"targets": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]},
+            {"total_cost": float("nan")},
+            {"total_cost": -5.0},
+        ],
+        ids=[
+            "non-permutation", "nan-point", "three-predictions-two-targets-negative-cost",
+            "noise-count", "perm-count", "dimension-mismatch", "nan-total-cost", "negative-total-cost",
+        ],
     )
-    def test_invalid_trace_entry_reports_index(self, key, bad):
+    def test_invalid_trace_entry_reports_index(self, changes):
         pts = [[0.0, 0.0], [1.0, 1.0]]
         entry = {"step": 0, "loss": 0.0, "noise": pts, "predictions": pts, "targets": pts,
                  "perm": [0, 1], "total_cost": 0.0}
-        assert len(feedback_traces_from_json(json.dumps([entry]))) == 1
-        with pytest.raises(SpecError, match="entry 0"):
-            feedback_traces_from_json(json.dumps([{**entry, key: bad}]))
+        assert len(feedback_traces_from_json(json.dumps([entry, entry]))) == 2
+        with pytest.raises(SpecError, match="entry 1"):
+            feedback_traces_from_json(json.dumps([entry, {**entry, **changes}]))

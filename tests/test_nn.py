@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from otmap.errors import NonFiniteGradient, SizeMismatch, SpecError
@@ -10,6 +10,7 @@ from otmap.nn import (
     Activation,
     LayerSpec,
     Mlp,
+    _forward_cached,
     adam_step,
     backward,
     forward,
@@ -130,12 +131,21 @@ class TestBackward:
         np.testing.assert_allclose(grads[0][0], g.T @ x, rtol=1e-12)
         np.testing.assert_allclose(grads[0][1], g[0], rtol=1e-12)
 
-    def _finite_difference_check(self, specs, seed, k):
+    def _finite_difference_check(self, specs, seed, k, kink_margin=0.0):
         net = init_mlp(specs, seed=seed, dtype=np.float64)
         rng = np.random.default_rng(seed + 1)
         x = rng.normal(size=(k, specs[0].in_dim))
         out_grad = rng.normal(size=(k, specs[-1].out_dim))
         batch = PointSet(x)
+        if kink_margin > 0:
+            # A central difference across the LeakyReLU kink measures neither
+            # side's slope: keep every pre-activation off it by the margin.
+            _, cache = _forward_cached(net, x)
+            assume(all(
+                np.abs(np.where(out > 0, out, out / spec.slope)).min() > kink_margin
+                for out, spec in zip(cache[1:], specs)
+                if spec.activation is Activation.LEAKY_RELU
+            ))
 
         analytic = flatten_grads(backward(net, batch, out_grad))
 
@@ -179,7 +189,8 @@ class TestBackward:
     )
     def test_gradient_check_property(self, act, seed, hidden):
         specs = [LayerSpec(2, hidden, act), LayerSpec(hidden, 2, act)]
-        self._finite_difference_check(specs, seed=seed, k=3)
+        # 1e-3 is 10 finite-difference steps.
+        self._finite_difference_check(specs, seed=seed, k=3, kink_margin=1e-3)
 
     def test_shape_mismatch(self):
         net = init_mlp([LayerSpec(2, 3)], seed=0)
@@ -288,6 +299,32 @@ class TestCheckpoints:
         bundle = load_checkpoint(path)
         assert bundle.adam is None
         assert np.array_equal(bundle.net.layers[0].weight, net.layers[0].weight)
+
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("w0", lambda a: a.T.copy()),
+            ("b1", lambda a: a[:-1]),
+            ("w1", lambda a: a.astype(np.float64)),
+            ("mw0", lambda a: a[:, :1]),
+            ("vb1", lambda a: np.zeros(3, dtype=a.dtype)),
+            ("mb0", None),
+        ],
+        ids=["weight-shape", "bias-shape", "dtype", "first-moment-shape", "second-moment-shape", "missing"],
+    )
+    def test_rejects_mismatched_arrays(self, tmp_path, key, edit):
+        net = init_mlp([LayerSpec(2, 4), LayerSpec(4, 2, Activation.IDENTITY)], seed=0)
+        path = tmp_path / "net.npz"
+        save_checkpoint(path, net, adam=init_adam(net))
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        if edit is None:
+            del arrays[key]
+        else:
+            arrays[key] = edit(arrays[key])
+        np.savez(path, **arrays)
+        with pytest.raises(SpecError, match=key):
+            load_checkpoint(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "foreign.npz"

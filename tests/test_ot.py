@@ -1,19 +1,24 @@
 """Cost matrices, the exact assignment solver, and the divergence metric."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from otmap.datasets import SyntheticKind, SyntheticSpec, make_moons
 from otmap.errors import InvalidCost, PoolTooLarge, SizeMismatch
 from otmap.mappers import _squared_cost_and_grad
 from otmap.ot import (
+    WARM_START_MAX_K,
     Assignment,
     CostMatrix,
     CostMetric,
     PointSet,
+    _reduced_costs,
     matched_distances,
     ot_divergence,
     pairwise_cost,
@@ -128,6 +133,120 @@ class TestSolveAssignment:
         sol = solve_assignment(CostMatrix(values, CostMetric.L1))
         assert sorted(sol.perm.tolist()) == list(range(k))
         assert sol.total_cost == pytest.approx(brute_force_min_cost(values), abs=1e-12)
+
+
+def noise_to_moons(k: int, seed: int) -> np.ndarray:
+    """Squared costs from uniform noise to moons: the geometry training starts from."""
+    noise = PointSet(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(k, 2)))
+    moons = make_moons(SyntheticSpec(SyntheticKind.MOONS, k, seed=seed + 1))
+    return pairwise_cost(noise, moons, CostMetric.SQUARED_EUCLIDEAN).values
+
+
+def assert_matches_reference(values: np.ndarray) -> None:
+    """solve_assignment returns a permutation with the cold solver's optimal total."""
+    sol = solve_assignment(CostMatrix(values, CostMetric.SQUARED_EUCLIDEAN))
+    rows, cols = linear_sum_assignment(values)
+    assert sorted(sol.perm.tolist()) == list(range(values.shape[0]))
+    assert sol.total_cost == pytest.approx(float(values[rows, cols].sum()), rel=1e-12)
+    assert sol.total_cost == float(values[np.arange(values.shape[0]), sol.perm].sum())
+
+
+class TestWarmStart:
+    """The Sinkhorn warm start against scipy's solver run on the raw matrix."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(min_value=1, max_value=160), seed=st.integers(min_value=0, max_value=2**31))
+    def test_noise_to_moons(self, k, seed):
+        assert_matches_reference(noise_to_moons(k, seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(min_value=1, max_value=160), seed=st.integers(min_value=0, max_value=2**31))
+    def test_normal_to_normal(self, k, seed):
+        rng = np.random.default_rng(seed)
+        a, b = PointSet(rng.normal(size=(k, 2))), PointSet(rng.normal(size=(k, 2)))
+        assert_matches_reference(pairwise_cost(a, b, CostMetric.SQUARED_EUCLIDEAN).values)
+
+    def test_duplicated_points(self):
+        rng = np.random.default_rng(4)
+        noise = rng.uniform(-1.0, 1.0, size=(60, 2))
+        moons = make_moons(SyntheticSpec(SyntheticKind.MOONS, 60, seed=5)).data
+        values = pairwise_cost(
+            PointSet(np.repeat(noise, 3, axis=0)), PointSet(np.repeat(moons, 3, axis=0)),
+            CostMetric.SQUARED_EUCLIDEAN,
+        ).values
+        assert_matches_reference(values)
+
+    def test_all_equal(self):
+        assert_matches_reference(np.full((50, 50), 3.0))
+
+    def test_integer_l1_costs(self):
+        rng = np.random.default_rng(6)
+        a = PointSet(rng.integers(0, 5, size=(120, 2)))
+        b = PointSet(rng.integers(3, 9, size=(120, 2)))
+        values = pairwise_cost(a, b, CostMetric.L1).values
+        assert_matches_reference(values)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e8])
+    def test_scaled_costs(self, scale):
+        assert_matches_reference(scale * noise_to_moons(200, 7))
+
+    def test_single_point(self):
+        assert_matches_reference(np.array([[2.5]]))
+
+    def test_empty_matrix(self):
+        assert _reduced_costs(np.zeros((0, 0))) is None
+        with pytest.raises(SizeMismatch):
+            solve_assignment(CostMatrix(np.zeros((0, 0)), CostMetric.L1))
+
+    def test_negative_costs_solve_cold(self):
+        values = noise_to_moons(100, 13) - 1.0
+        assert _reduced_costs(values) is None
+        assert_matches_reference(values)
+
+    @pytest.mark.parametrize("k", [WARM_START_MAX_K, WARM_START_MAX_K + 1])
+    def test_size_limit(self, k):
+        values = noise_to_moons(k, 8)
+        assert (_reduced_costs(values) is not None) == (k <= WARM_START_MAX_K)
+        assert_matches_reference(values)
+
+    def test_costs_spanning_300_decades(self):
+        # Potentials sized by the 1e300 entries would round the O(1) costs
+        # away; the rounding guard must hand this matrix to the cold solve.
+        rng = np.random.default_rng(9)
+        values = rng.random((40, 40))
+        values[rng.random((40, 40)) < 0.4] = 1e300
+        assert _reduced_costs(values) is not None
+        assert_matches_reference(values)
+        assert solve_assignment(CostMatrix(values, CostMetric.L1)).total_cost < 40.0
+
+    def test_non_finite_stage_keeps_previous_potentials(self):
+        # The mean reduced cost overflows, so the first Sinkhorn stage is
+        # non-finite and the min-reduction potentials are kept.
+        rng = np.random.default_rng(10)
+        values = 1e307 * (1.0 + rng.random((8, 8)))
+        reduced, f, g = _reduced_costs(values)
+        assert np.isfinite(reduced).all()
+        np.testing.assert_array_equal(f, values.min(axis=1))
+        assert_matches_reference(values)
+
+    def test_reduced_costs_plus_potentials_give_back_the_input(self):
+        values = noise_to_moons(300, 11)
+        reduced, f, g = _reduced_costs(values)
+        np.testing.assert_allclose(
+            reduced + f[:, None] + g[None, :], values, rtol=0, atol=1e-12 * values.max()
+        )
+
+    @pytest.mark.parametrize("k, limit", [(WARM_START_MAX_K, 1.1), (WARM_START_MAX_K + 1, 0.2)])
+    def test_peak_memory(self, k, limit):
+        # One extra k x k float64 array up to the limit, none above it.
+        costs = CostMatrix(noise_to_moons(k, 12), CostMetric.SQUARED_EUCLIDEAN)
+        tracemalloc.start()
+        try:
+            solve_assignment(costs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * 8 * k * k
 
 
 class TestOtDivergence:
