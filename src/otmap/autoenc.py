@@ -100,7 +100,7 @@ def train_autoencoder(images: ImageBatch, spec: AutoencoderSpec, cfg: TrainConfi
         losses[step] = float(np.einsum("ij,ij->", diff, diff) / diff.size)
         out_grad = (2.0 / diff.size) * diff
         dec_grads, latent_grad = _backward_from_cache(decoder, dec_cache, out_grad)
-        enc_grads, _ = _backward_from_cache(encoder, enc_cache, latent_grad)
+        enc_grads, _ = _backward_from_cache(encoder, enc_cache, latent_grad, input_grad=False)
         adam_step(decoder, dec_grads, adam_dec, cfg.lr)
         adam_step(encoder, enc_grads, adam_enc, cfg.lr)
     return AutoencoderResult(encoder=encoder, decoder=decoder, losses=losses)

@@ -246,11 +246,12 @@ def pool_sampler(
     return lambda: PointSet(pool.data[next(batches)])
 
 
-def _squared_cost_and_grad(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    # (1/k) sum_i ||pred_i - target_i||^2 and its gradient wrt pred.
+def _squared_cost_and_grad(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    # (1/k) sum_i ||pred_i - target_i||^2, its gradient wrt pred, and the
+    # float64 difference pred - target both are built from.
     diff = pred.astype(np.float64) - target
     loss = float(np.einsum("ij,ij->", diff, diff) / len(diff))
-    return loss, (2.0 / len(diff)) * diff
+    return loss, (2.0 / len(diff)) * diff, diff
 
 
 def _fit(net: Mlp, cfg: TrainConfig, batches: Iterator[tuple[np.ndarray, Callable]]) -> TrainResult:
@@ -267,14 +268,14 @@ def _fit(net: Mlp, cfg: TrainConfig, batches: Iterator[tuple[np.ndarray, Callabl
     for step, (x, pair) in zip(range(cfg.steps), batches):
         out, cache = _forward_cached(net, x)
         y, extra = pair(out)
-        loss, out_grad = _squared_cost_and_grad(out, y)
+        loss, out_grad, diff = _squared_cost_and_grad(out, y)
         if extra is not None:
             loss += extra[0]
             out_grad = out_grad + extra[1]
-        grads, _ = _backward_from_cache(net, cache, out_grad)
+        grads, _ = _backward_from_cache(net, cache, out_grad, input_grad=False)
         adam_step(net, grads, adam, cfg.lr)
         losses[step] = loss
-        dists[step] = float(np.linalg.norm(out.astype(np.float64) - y, axis=1).mean())
+        dists[step] = float(np.linalg.norm(diff, axis=1).mean())
     return TrainResult(net=net, losses=losses, matched_dist=dists)
 
 

@@ -5,6 +5,15 @@ are (weight, bias, activation) triples, gradients are computed by hand, and
 the only optimizer is Adam with bias correction.  No autodiff graph, no
 convolutions.
 
+Storage is flat.  An :class:`Mlp` keeps all its weights and biases in one
+contiguous vector, ``params``, laid out layer after layer as the weight
+(row-major) then the bias; each layer's ``weight`` and ``bias`` are views
+into it.  Backward writes every gradient into one fresh vector of the same
+layout (a :class:`ParamGrads`), Adam keeps its two moments as two more, and
+one Adam update is a fixed sequence of in-place operations over those
+vectors.  The arithmetic is that of the textbook per-array forms, operation
+for operation, so the flat layout changes no result bit.
+
 Training tensors default to float32; gradient-check tests build float64
 networks via the ``dtype`` argument.  All operations are deterministic for
 a fixed seed and data order.
@@ -15,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -58,15 +68,83 @@ class Layer:
     spec: LayerSpec
 
 
+Shapes = list[tuple[tuple[int, ...], tuple[int, ...]]]
+
+
+class ParamGrads(tuple):
+    """One (weight-shaped, bias-shaped) array pair per layer, in layer order.
+
+    Every array is a view into ``flat``, one contiguous vector laid out like
+    :attr:`Mlp.params`.  Backward returns gradients in this form and
+    :class:`AdamState` keeps its moments in it.
+    """
+
+    flat: np.ndarray
+
+    def __new__(cls, flat: np.ndarray, shapes: Shapes) -> ParamGrads:
+        pairs, pos = [], 0
+        for w_shape, b_shape in shapes:
+            w = flat[pos : pos + prod(w_shape)].reshape(w_shape)
+            pos += w.size
+            b = flat[pos : pos + prod(b_shape)].reshape(b_shape)
+            pos += b.size
+            pairs.append((w, b))
+        if pos != flat.size:
+            raise SizeMismatch(f"a {flat.size}-entry vector does not hold layers of shapes {shapes}")
+        self = super().__new__(cls, pairs)
+        self.flat = flat
+        return self
+
+    @classmethod
+    def packed(cls, pairs, dtype: np.dtype) -> ParamGrads:
+        """Copy (weight, bias) array pairs into one new vector of ``dtype``."""
+        arrays = [np.asarray(a) for pair in pairs for a in pair]
+        flat = np.concatenate([a.ravel() for a in arrays], dtype=dtype)
+        return cls(flat, [(w.shape, b.shape) for w, b in zip(arrays[::2], arrays[1::2])])
+
+
 @dataclass
 class Mlp:
     """Feed-forward network parameters.
+
+    Construction packs the layers' arrays into the flat vector ``params``
+    and rebinds each ``weight`` and ``bias`` to a view into it: change them
+    in place (``layer.weight[:] = ...``), since a rebound array would no
+    longer be the one training updates.  Every array must have its spec's
+    shape and the first weight's dtype.
 
     Mutable training state: a single trainer owns an Mlp at a time.
     Forward passes on an Mlp nobody is mutating are safe from any thread.
     """
 
     layers: list[Layer]
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.layers:
+            raise SpecError("a network needs at least one layer")
+        dtype = self.layers[0].weight.dtype
+        for i, l in enumerate(self.layers):
+            if l.weight.dtype != dtype or l.bias.dtype != dtype:
+                raise SpecError(f"layer {i} arrays are {l.weight.dtype}/{l.bias.dtype}, expected {dtype}")
+            if l.weight.shape != (l.spec.out_dim, l.spec.in_dim) or l.bias.shape != (l.spec.out_dim,):
+                raise SizeMismatch(
+                    f"layer {i} arrays have shapes {l.weight.shape}, {l.bias.shape} "
+                    f"for a {l.spec.in_dim} -> {l.spec.out_dim} layer"
+                )
+        packed = ParamGrads.packed([(l.weight, l.bias) for l in self.layers], dtype)
+        self.params = packed.flat
+        for layer, (w, b) in zip(self.layers, packed):
+            layer.weight, layer.bias = w, b
+
+    # A copy or an unpickled net gets its own flat vector: the layers' arrays
+    # arrive as separate copies and are packed again.
+    def __getstate__(self) -> dict:
+        return {"layers": self.layers}
+
+    def __setstate__(self, state: dict) -> None:
+        self.layers = state["layers"]
+        self.__post_init__()
 
     @property
     def in_dim(self) -> int:
@@ -78,15 +156,15 @@ class Mlp:
 
     @property
     def dtype(self) -> np.dtype:
-        return self.layers[0].weight.dtype
+        return self.params.dtype
 
     @property
     def param_count(self) -> int:
-        return sum(l.weight.size + l.bias.size for l in self.layers)
+        return self.params.size
 
-
-# Parameter gradients mirror the layer list: one (dW, db) pair per layer.
-ParamGrads = list[tuple[np.ndarray, np.ndarray]]
+    @property
+    def shapes(self) -> Shapes:
+        return [(l.weight.shape, l.bias.shape) for l in self.layers]
 
 
 def init_mlp(specs: list[LayerSpec], seed: int, dtype: type = np.float32) -> Mlp:
@@ -113,28 +191,45 @@ def init_mlp(specs: list[LayerSpec], seed: int, dtype: type = np.float32) -> Mlp
     return Mlp(layers=layers)
 
 
-def _apply_activation(z: np.ndarray, spec: LayerSpec) -> np.ndarray:
+# Both activations are computed without np.where or masked copies: with a
+# random sign pattern those branch per entry and cost several times the
+# arithmetic.  A 0/1 mask is turned into a float instead and combined by
+# np.maximum, which gives the two-branch formulas' exact results.
+
+
+def _activate(z: np.ndarray, spec: LayerSpec) -> np.ndarray:
+    """Apply the activation to the pre-activation ``z`` in place; returns z."""
     if spec.activation is Activation.LEAKY_RELU:
-        return np.where(z > 0, z, spec.slope * z)
+        # slope in (0, 1): slope*z is the larger of the two exactly when z <= 0.
+        return np.maximum(z, spec.slope * z, out=z)
     if spec.activation is Activation.SIGMOID:
-        # Branch on sign for stability at large |z|.
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        # Stable at large |z|: with e = exp(-|z|) in [0, 1], 1/(1+e) for
+        # z >= 0 and e/(1+e) below; the numerator max(e, [z >= 0]) is 1 or e.
+        num = (z >= 0).astype(z.dtype)
+        e = np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
+        np.maximum(e, num, out=num)
+        e += 1.0
+        return np.divide(num, e, out=e)
     return z
 
 
-def _activation_grad_from_output(a: np.ndarray, spec: LayerSpec) -> np.ndarray:
-    # LeakyReLU output has the sign of its input, so the post-activation
-    # value is enough to pick the branch; sigmoid' = a(1-a).
+def _activation_backward(g: np.ndarray, a: np.ndarray, spec: LayerSpec) -> np.ndarray:
+    """dL/dz from dL/da and the activation's output ``a``.
+
+    LeakyReLU output has the sign of its input, so ``a`` picks the slope,
+    max([a > 0], slope) = 1 or slope; sigmoid' = a(1-a).  May return ``g``
+    itself, never writes to it.
+    """
     if spec.activation is Activation.LEAKY_RELU:
-        return np.where(a > 0, np.asarray(1.0, dtype=a.dtype), np.asarray(spec.slope, dtype=a.dtype))
-    if spec.activation is Activation.SIGMOID:
-        return a * (1.0 - a)
-    return np.ones_like(a)
+        gz = (a > 0).astype(a.dtype)
+        np.maximum(gz, spec.slope, out=gz)
+    elif spec.activation is Activation.SIGMOID:
+        gz = 1.0 - a
+        gz *= a
+    else:
+        return g
+    gz *= g
+    return gz
 
 
 def _forward_cached(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -145,8 +240,9 @@ def _forward_cached(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     h = np.ascontiguousarray(x, dtype=net.dtype)
     cache = [h]
     for layer in net.layers:
-        z = h @ layer.weight.T + layer.bias
-        h = _apply_activation(z, layer.spec)
+        z = h @ layer.weight.T
+        z += layer.bias
+        h = _activate(z, layer.spec)
         cache.append(h)
     return h, cache
 
@@ -160,23 +256,28 @@ def forward(net: Mlp, batch: PointSet) -> PointSet:
 
 
 def _backward_from_cache(
-    net: Mlp, cache: list[np.ndarray], output_grad: np.ndarray
-) -> tuple[ParamGrads, np.ndarray]:
+    net: Mlp, cache: list[np.ndarray], output_grad: np.ndarray, input_grad: bool = True
+) -> tuple[ParamGrads, np.ndarray | None]:
     """Backprop dL/d(output) through cached activations.
 
-    Returns per-layer (dW, db) plus the gradient with respect to the input,
-    which lets callers chain networks (decoder into encoder).
+    Returns the per-layer (dW, db), written into one fresh flat vector, plus
+    the gradient with respect to the input, which lets callers chain
+    networks (decoder into encoder); with ``input_grad=False`` that last
+    product is skipped and None returned in its place.
     """
     g = np.ascontiguousarray(output_grad, dtype=net.dtype)
     if g.shape != cache[-1].shape:
         raise SizeMismatch(f"output_grad shape {g.shape} does not match output {cache[-1].shape}")
-    grads: ParamGrads = [None] * len(net.layers)  # type: ignore[list-item]
+    grads = ParamGrads(np.empty_like(net.params), net.shapes)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        gz = g * _activation_grad_from_output(cache[i + 1], layer.spec)
-        grads[i] = (gz.T @ cache[i], gz.sum(axis=0))
-        g = gz @ layer.weight
-    return grads, g
+        gz = _activation_backward(g, cache[i + 1], layer.spec)
+        dw, db = grads[i]
+        np.matmul(gz.T, cache[i], out=dw)
+        np.sum(gz, axis=0, out=db)
+        if i > 0 or input_grad:
+            g = gz @ layer.weight
+    return grads, g if input_grad else None
 
 
 def backward(net: Mlp, batch: PointSet, output_grad: np.ndarray) -> ParamGrads:
@@ -188,9 +289,19 @@ def backward(net: Mlp, batch: PointSet, output_grad: np.ndarray) -> ParamGrads:
     return grads
 
 
+# Adam sweeps its flat vectors in blocks of this many entries: the block's
+# slices of the five vectors it touches then stay in cache between the
+# update's operations, and the scratch needs only two rows of this size.
+_ADAM_BLOCK = 65536
+
+
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment buffers plus the step counter."""
+    """First/second moment buffers plus the step counter.
+
+    ``m`` and ``v`` are laid out like the net's parameters; lists of
+    (weight, bias) pairs are packed into :class:`ParamGrads` on construction.
+    """
 
     m: ParamGrads
     v: ParamGrads
@@ -198,38 +309,72 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.m, ParamGrads):
+            self.m = ParamGrads.packed(self.m, np.asarray(self.m[0][0]).dtype)
+        if not isinstance(self.v, ParamGrads):
+            self.v = ParamGrads.packed(self.v, self.m.flat.dtype)
+        self.scratch = np.empty((2, min(self.m.flat.size, _ADAM_BLOCK)), dtype=self.m.flat.dtype)
 
 
 def init_adam(net: Mlp, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    zeros = lambda: [
-        (np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in net.layers
-    ]
+    zeros = lambda: ParamGrads(np.zeros_like(net.params), net.shapes)
     return AdamState(m=zeros(), v=zeros(), beta1=beta1, beta2=beta2, eps=eps)
 
 
 def adam_step(net: Mlp, grads: ParamGrads, state: AdamState, lr: float) -> tuple[Mlp, AdamState]:
     """One bias-corrected Adam update, in place; returns the updated pair.
 
-    Raises :class:`NonFiniteGradient` before touching any parameter if a
-    gradient entry is NaN or infinite.
+    ``grads`` holds one (dW, db) pair per layer, each of its parameter's
+    shape; pairs that are not one :class:`ParamGrads` of the net's dtype are
+    first copied into one.  Raises :class:`NonFiniteGradient` before
+    touching any parameter if a gradient entry is NaN or infinite.
     """
     if lr <= 0:
         raise SpecError(f"learning rate must be positive, got {lr}")
     if len(grads) != len(net.layers):
         raise SizeMismatch(f"got {len(grads)} gradient pairs for {len(net.layers)} layers")
-    for i, (gw, gb) in enumerate(grads):
-        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
-            raise NonFiniteGradient(f"non-finite gradient in layer {i} at Adam step {state.t + 1}")
+    for i, ((gw, gb), (w_shape, b_shape)) in enumerate(zip(grads, net.shapes)):
+        if np.shape(gw) != w_shape or np.shape(gb) != b_shape:
+            raise SizeMismatch(
+                f"layer {i} gradients have shapes {np.shape(gw)}, {np.shape(gb)}, expected {w_shape}, {b_shape}"
+            )
+    if state.m.flat.shape != net.params.shape or state.v.flat.shape != net.params.shape:
+        raise SizeMismatch(f"Adam moments hold {state.m.flat.size} entries, the net {net.param_count}")
+    if not (isinstance(grads, ParamGrads) and grads.flat.dtype == net.dtype):
+        grads = ParamGrads.packed(grads, net.dtype)
+    g = grads.flat
+    # min and max propagate NaN, so two reductions stand in for a mask.
+    if not (np.isfinite(g.min()) and np.isfinite(g.max())):
+        bad = next(i for i, (gw, gb) in enumerate(grads) if not (np.isfinite(gw).all() and np.isfinite(gb).all()))
+        raise NonFiniteGradient(f"non-finite gradient in layer {bad} at Adam step {state.t + 1}")
     state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
-    for layer, (gw, gb), (mw, mb), (vw, vb) in zip(net.layers, grads, state.m, state.v):
-        for param, g, m, v in ((layer.weight, gw, mw, vw), (layer.bias, gb, mb, vb)):
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * np.square(g)
-            param -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    b1, b2, eps = state.beta1, state.beta2, state.eps
+    c1 = 1.0 - b1 ** state.t
+    c2 = 1.0 - b2 ** state.t
+    p, m, v = net.params, state.m.flat, state.v.flat
+    for lo in range(0, p.size, _ADAM_BLOCK):
+        hi = lo + _ADAM_BLOCK
+        pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+        num, den = state.scratch[:, : pb.size]
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g^2;
+        # param -= lr*(m/c1) / (sqrt(v/c2) + eps), operation for operation.
+        mb *= b1
+        np.multiply(gb, 1.0 - b1, out=num)
+        mb += num
+        vb *= b2
+        np.square(gb, out=num)
+        num *= 1.0 - b2
+        vb += num
+        np.divide(mb, c1, out=num)
+        num *= lr
+        np.divide(vb, c2, out=den)
+        np.sqrt(den, out=den)
+        den += eps
+        num /= den
+        pb -= num
     return net, state
 
 
@@ -305,7 +450,8 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
 
     Every array must have the shape its layer metadata gives (Adam moments
     that of their parameter) and the dtype ``meta["dtype"]`` names, else
-    :class:`SpecError` naming the array.
+    :class:`SpecError` naming the array.  The loaded arrays are copied into
+    the net's and the moments' flat vectors.
     """
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))

@@ -209,7 +209,8 @@ def solve_assignment(costs: CostMatrix) -> Assignment:
     values = np.asarray(costs.values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise SizeMismatch(f"assignment needs a square cost matrix, got shape {values.shape}")
-    if not np.isfinite(values).all():
+    # min and max propagate NaN, so two reductions stand in for a k x k mask.
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise InvalidCost("cost matrix contains NaN or infinite entries")
     rows = None
     warm = _reduced_costs(values)

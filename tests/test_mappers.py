@@ -318,11 +318,11 @@ class TestTrainOtgen:
 
         def objective() -> float:
             o, _ = _forward_cached(net, noise.data)
-            loss, _ = _squared_cost_and_grad(o, z.data[sigma.perm])
+            loss, _, _ = _squared_cost_and_grad(o, z.data[sigma.perm])
             dval, _ = diversity_penalty(PointSet(o), z)
             return loss + lam * dval
 
-        _, out_grad = _squared_cost_and_grad(out, z.data[sigma.perm])
+        _, out_grad, _ = _squared_cost_and_grad(out, z.data[sigma.perm])
         _, div_grad = diversity_penalty(PointSet(out), z)
         grads, _ = _backward_from_cache(net, cache, out_grad + lam * div_grad)
         analytic = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in grads])

@@ -1,5 +1,8 @@
 """Network construction, forward/backward correctness, Adam, checkpoints."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,9 +10,14 @@ from hypothesis import strategies as st
 
 from otmap.errors import NonFiniteGradient, SizeMismatch, SpecError
 from otmap.nn import (
+    _ADAM_BLOCK,
     Activation,
+    Layer,
     LayerSpec,
     Mlp,
+    _activate,
+    _activation_backward,
+    _backward_from_cache,
     _forward_cached,
     adam_step,
     backward,
@@ -52,6 +60,60 @@ def flatten_grads(grads) -> np.ndarray:
     return np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in grads])
 
 
+def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    """Equal dtype and shape, NaN at the same places, every other entry
+    bit for bit (so -0.0 differs from +0.0)."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert np.array_equal(a[~nan].view(f"u{a.itemsize}"), b[~nan].view(f"u{b.itemsize}"))
+
+
+def reference_activation(z: np.ndarray, spec: LayerSpec) -> np.ndarray:
+    """The two-branch formulas, one masked gather per branch."""
+    if spec.activation is Activation.LEAKY_RELU:
+        return np.where(z > 0, z, spec.slope * z)
+    if spec.activation is Activation.SIGMOID:
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+    return z
+
+
+def reference_activation_backward(g: np.ndarray, a: np.ndarray, spec: LayerSpec) -> np.ndarray:
+    if spec.activation is Activation.LEAKY_RELU:
+        return g * np.where(a > 0, np.asarray(1.0, dtype=a.dtype), np.asarray(spec.slope, dtype=a.dtype))
+    if spec.activation is Activation.SIGMOID:
+        return g * (a * (1.0 - a))
+    return g * np.ones_like(a)
+
+
+def reference_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+    """Step t of Adam, one parameter array at a time, in place."""
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for param, g, mp, vp in zip(params, grads, m, v):
+        mp *= beta1
+        mp += (1.0 - beta1) * g
+        vp *= beta2
+        vp += (1.0 - beta2) * np.square(g)
+        param -= lr * (mp / c1) / (np.sqrt(vp / c2) + eps)
+
+
+def wide_grads(net: Mlp, rng: np.random.Generator):
+    """Random gradients whose magnitudes span 1e-3 to 1e3, in the net's dtype."""
+    return [
+        tuple(
+            (rng.normal(size=p.shape) * 10.0 ** rng.uniform(-3, 3, size=p.shape)).astype(net.dtype)
+            for p in (l.weight, l.bias)
+        )
+        for l in net.layers
+    ]
+
+
 class TestInit:
     def test_param_count_of_mapper_architecture(self):
         net = init_mlp(paper_mapper_specs(), seed=7)
@@ -84,6 +146,57 @@ class TestInit:
         assert np.abs(net.layers[0].weight).max() <= bound
 
 
+class TestFlatStorage:
+    def test_layers_are_views_into_params(self):
+        net = init_mlp(paper_mapper_specs(), seed=1)
+        assert net.params.shape == (net.param_count,)
+        pos = 0
+        for layer in net.layers:
+            for arr in (layer.weight, layer.bias):
+                assert np.shares_memory(arr, net.params)
+                np.testing.assert_array_equal(arr.ravel(), net.params[pos : pos + arr.size])
+                pos += arr.size
+        assert pos == net.param_count
+
+    def test_packs_separate_arrays(self):
+        rng = np.random.default_rng(2)
+        w0, b0 = rng.normal(size=(3, 2)), rng.normal(size=3)
+        w1, b1 = rng.normal(size=(1, 3)), rng.normal(size=1)
+        net = Mlp([Layer(w0, b0, LayerSpec(2, 3)), Layer(w1, b1, LayerSpec(3, 1))])
+        np.testing.assert_array_equal(net.params, np.concatenate([w0.ravel(), b0, w1.ravel(), b1]))
+        assert not np.shares_memory(net.layers[0].weight, w0)
+        net.params[0] = 42.0
+        assert net.layers[0].weight[0, 0] == 42.0
+
+    def test_rejects_inconsistent_layers(self):
+        spec = LayerSpec(2, 3)
+        with pytest.raises(SizeMismatch):
+            Mlp([Layer(np.zeros((2, 3)), np.zeros(3), spec)])
+        with pytest.raises(SizeMismatch):
+            Mlp([Layer(np.zeros((3, 2)), np.zeros(1), spec)])
+        with pytest.raises(SpecError):
+            Mlp([Layer(np.zeros((3, 2)), np.zeros(3, dtype=np.float32), spec)])
+        with pytest.raises(SpecError):
+            Mlp([])
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
+                             ids=["deepcopy", "pickle"])
+    def test_copy_trains_like_the_original(self, clone):
+        net = init_mlp([LayerSpec(2, 8), LayerSpec(8, 2, Activation.IDENTITY)], seed=4)
+        twin = clone(net)
+        assert not np.shares_memory(twin.params, net.params)
+        for layer in twin.layers:
+            assert np.shares_memory(layer.weight, twin.params)
+        rng = np.random.default_rng(5)
+        x, g = PointSet(rng.normal(size=(6, 2))), rng.normal(size=(6, 2))
+        for n in (net, twin):
+            state = init_adam(n)
+            for _ in range(3):
+                adam_step(n, backward(n, x, g), state, lr=1e-2)
+        np.testing.assert_array_equal(twin.params, net.params)
+        np.testing.assert_array_equal(forward(twin, x).data, forward(net, x).data)
+
+
 class TestForward:
     def test_identity_network(self):
         net = init_mlp([LayerSpec(3, 3, Activation.IDENTITY)], seed=0)
@@ -114,6 +227,37 @@ class TestForward:
         net = init_mlp([LayerSpec(3, 2)], seed=0)
         with pytest.raises(SizeMismatch):
             forward(net, PointSet([[1.0, 2.0]]))
+
+
+class TestActivations:
+    """The in-place activations against the two-branch reference, bit for bit."""
+
+    @staticmethod
+    def special_values(dtype) -> np.ndarray:
+        tiny = np.finfo(dtype).smallest_subnormal
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 88.0, -88.0, 1e4, -1e4, tiny, -tiny,
+                 1000 * tiny, -1000 * tiny, np.finfo(dtype).tiny, -np.finfo(dtype).tiny]
+        normal = np.random.default_rng(0).normal(size=64) * 10.0
+        return np.concatenate([edges, normal]).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "spec",
+        [LayerSpec(1, 1, Activation.LEAKY_RELU, slope=s) for s in (0.01, 0.2, 0.999, 1e-6)]
+        + [LayerSpec(1, 1, Activation.SIGMOID), LayerSpec(1, 1, Activation.IDENTITY)],
+        ids=lambda spec: f"{spec.activation.value}-{spec.slope}",
+    )
+    def test_matches_two_branch_reference(self, dtype, spec):
+        z = self.special_values(dtype)
+        a = _activate(z.copy(), spec)
+        assert_same_bits(a, reference_activation(z, spec))
+        # Every output paired with every upstream gradient, specials included.
+        a_grid, g_grid = np.meshgrid(a, self.special_values(dtype))
+        g_before = g_grid.copy()
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            gz = _activation_backward(g_grid, a_grid, spec)
+            assert_same_bits(gz, reference_activation_backward(g_grid, a_grid, spec))
+        assert_same_bits(g_grid, g_before)
 
 
 class TestBackward:
@@ -192,6 +336,18 @@ class TestBackward:
         # 1e-3 is 10 finite-difference steps.
         self._finite_difference_check(specs, seed=seed, k=3, kink_margin=1e-3)
 
+    @pytest.mark.parametrize("act", list(Activation))
+    def test_skipping_the_input_gradient_keeps_parameter_gradients(self, act):
+        specs = [LayerSpec(3, 5, act), LayerSpec(5, 4, act), LayerSpec(4, 2, act)]
+        net = init_mlp(specs, seed=6)
+        rng = np.random.default_rng(7)
+        _, cache = _forward_cached(net, rng.normal(size=(9, 3)))
+        g = rng.normal(size=(9, 2))
+        full, g_in = _backward_from_cache(net, cache, g)
+        lean, none = _backward_from_cache(net, cache, g, input_grad=False)
+        assert g_in.shape == (9, 3) and none is None
+        assert_same_bits(lean.flat, full.flat)
+
     def test_shape_mismatch(self):
         net = init_mlp([LayerSpec(2, 3)], seed=0)
         with pytest.raises(SizeMismatch):
@@ -254,6 +410,52 @@ class TestAdam:
         with pytest.raises(NonFiniteGradient):
             adam_step(net, grads, state, lr=0.001)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_array_reference(self, dtype):
+        # 300 * 300 weights put the second layer across an Adam block boundary.
+        specs = [LayerSpec(4, 300), LayerSpec(300, 300), LayerSpec(300, 3, Activation.IDENTITY)]
+        assert init_mlp(specs, seed=0).param_count > _ADAM_BLOCK
+        net = init_mlp(specs, seed=8, dtype=dtype)
+        params = [p.copy() for l in net.layers for p in (l.weight, l.bias)]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        state = init_adam(net)
+        rng = np.random.default_rng(9)
+        for t in range(1, 51):
+            grads = wide_grads(net, rng)
+            adam_step(net, grads, state, lr=1e-3)
+            reference_adam(params, [g for pair in grads for g in pair], m, v, t, lr=1e-3)
+        assert state.t == 50
+        ours = [p for l in net.layers for p in (l.weight, l.bias)]
+        for got, want in zip(ours + list(sum(state.m, ())) + list(sum(state.v, ())), params + m + v):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_names_its_layer(self, bad):
+        net = init_mlp([LayerSpec(2, 4), LayerSpec(4, 4), LayerSpec(4, 2, Activation.IDENTITY)], seed=1)
+        state = init_adam(net)
+        rng = np.random.default_rng(2)
+        for _ in range(2):
+            adam_step(net, wide_grads(net, rng), state, lr=1e-3)
+        for layer in range(3):
+            for which in range(2):
+                grads = backward(net, PointSet(rng.normal(size=(5, 2))), rng.normal(size=(5, 2)))
+                grads[layer][which].flat[-1] = bad
+                before = [net.params.copy(), state.m.flat.copy(), state.v.flat.copy()]
+                with pytest.raises(NonFiniteGradient, match=f"layer {layer} at Adam step 3"):
+                    adam_step(net, grads, state, lr=1e-3)
+                for got, want in zip([net.params, state.m.flat, state.v.flat], before):
+                    assert_same_bits(got, want)
+                assert state.t == 2
+
+    def test_rejects_gradients_of_the_wrong_shape(self):
+        net = init_mlp([LayerSpec(2, 3)], seed=0)
+        state = init_adam(net)
+        for grads in ([(np.zeros((3, 2)), np.zeros(1))], [(np.zeros((2, 3)), np.zeros(3))]):
+            with pytest.raises(SizeMismatch):
+                adam_step(net, grads, state, lr=1e-3)
+        assert state.t == 0
+
     def test_deterministic_trajectories(self):
         def run():
             net = init_mlp([LayerSpec(2, 8), LayerSpec(8, 2, Activation.IDENTITY)], seed=3)
@@ -291,6 +493,32 @@ class TestCheckpoints:
         for (ma, mb), (na, nb) in zip(state.m, bundle.adam.m):
             assert np.array_equal(ma, na)
             assert np.array_equal(mb, nb)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_resume_matches_straight_run(self, tmp_path, dtype):
+        specs = [LayerSpec(2, 16), LayerSpec(16, 16, Activation.SIGMOID), LayerSpec(16, 2, Activation.IDENTITY)]
+        rng = np.random.default_rng(3)
+        batches = [(PointSet(rng.normal(size=(8, 2))), rng.normal(size=(8, 2))) for _ in range(12)]
+
+        def run(net, state, steps):
+            for x, g in steps:
+                adam_step(net, backward(net, x, g), state, lr=1e-2)
+
+        straight = init_mlp(specs, seed=4, dtype=dtype)
+        straight_adam = init_adam(straight)
+        run(straight, straight_adam, batches)
+
+        net = init_mlp(specs, seed=4, dtype=dtype)
+        state = init_adam(net)
+        run(net, state, batches[:5])
+        save_checkpoint(tmp_path / "mid.npz", net, adam=state)
+        bundle = load_checkpoint(tmp_path / "mid.npz")
+        run(bundle.net, bundle.adam, batches[5:])
+
+        assert bundle.adam.t == straight_adam.t == 12
+        assert_same_bits(bundle.net.params, straight.params)
+        assert_same_bits(bundle.adam.m.flat, straight_adam.m.flat)
+        assert_same_bits(bundle.adam.v.flat, straight_adam.v.flat)
 
     def test_checkpoint_without_adam(self, tmp_path):
         net = init_mlp([LayerSpec(2, 2)], seed=0)

@@ -109,6 +109,13 @@ class TestSolveAssignment:
         with pytest.raises(InvalidCost):
             solve_assignment(CostMatrix(np.array([[np.nan, 1.0], [1.0, 0.0]]), CostMetric.L1))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_entry(self, bad):
+        values = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        values[1, 2] = bad
+        with pytest.raises(InvalidCost):
+            solve_assignment(CostMatrix(values, CostMetric.L1))
+
     def test_matches_brute_force_on_200_random_6x6(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
@@ -236,9 +243,12 @@ class TestWarmStart:
             reduced + f[:, None] + g[None, :], values, rtol=0, atol=1e-12 * values.max()
         )
 
-    @pytest.mark.parametrize("k, limit", [(WARM_START_MAX_K, 1.1), (WARM_START_MAX_K + 1, 0.2)])
+    @pytest.mark.parametrize(
+        "k, limit", [(WARM_START_MAX_K, 1.1), (WARM_START_MAX_K + 1, 0.2), (WARM_START_MAX_K + 1, 0.01)]
+    )
     def test_peak_memory(self, k, limit):
-        # One extra k x k float64 array up to the limit, none above it.
+        # One extra k x k float64 array up to the limit, none above it; the
+        # cold solve's finiteness check adds no k x k bool mask (0.125) either.
         costs = CostMatrix(noise_to_moons(k, 12), CostMetric.SQUARED_EUCLIDEAN)
         tracemalloc.start()
         try:
@@ -316,7 +326,7 @@ class TestAssignmentCostGradient:
         rng = np.random.default_rng(2)
         a = PointSet(rng.normal(size=(6, 2)))
         sigma = Assignment(perm=np.arange(6), total_cost=0.0)
-        _, grad = _squared_cost_and_grad(a.data, a.data[sigma.perm])
+        _, grad, _ = _squared_cost_and_grad(a.data, a.data[sigma.perm])
         np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_single_point_closed_form(self):
@@ -335,7 +345,7 @@ class TestAssignmentCostGradient:
             pts = PointSet(flat.reshape(k, d))
             return float(matched_distances(pts, b, sigma, CostMetric.SQUARED_EUCLIDEAN).mean())
 
-        _, grad = _squared_cost_and_grad(a_rows, b.data[sigma.perm])
+        _, grad, _ = _squared_cost_and_grad(a_rows, b.data[sigma.perm])
         h = 1e-6
         flat = a_rows.ravel().copy()
         for idx in range(flat.size):
