@@ -107,7 +107,10 @@ def train_autoencoder(images: ImageBatch, spec: AutoencoderSpec, cfg: TrainConfi
 
 
 def encode(encoder: Mlp, images: ImageBatch, chunk: int = 4096) -> PointSet:
-    """Map images to latent vectors (k = n, d = latent dim)."""
+    """Map images to latent vectors (k = n, d = latent dim), ``chunk`` images
+    per forward pass."""
+    if chunk < 1:
+        raise SpecError(f"chunk must be >= 1, got {chunk}")
     if images.pixels.shape[1] != encoder.in_dim:
         raise SizeMismatch(
             f"encoder expects input dim {encoder.in_dim}, images have {images.pixels.shape[1]}"

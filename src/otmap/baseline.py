@@ -28,6 +28,11 @@ class ClusterModel:
     covariances: np.ndarray  # (k, d, d), symmetric PSD up to -1e-9
 
     def __post_init__(self) -> None:
+        if self.means.ndim != 2 or self.covariances.ndim != 3:
+            raise ModelError(
+                f"means must be (k, d) and covariances (k, d, d), got shapes "
+                f"{self.means.shape} and {self.covariances.shape}"
+            )
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
             raise ModelError("cluster weights must be non-negative and sum to 1")
@@ -58,12 +63,13 @@ class ClusterModel:
 
     @classmethod
     def from_json(cls, text: str) -> "ClusterModel":
-        obj = json.loads(text)
-        return cls(
-            weights=np.asarray(obj["weights"], dtype=np.float64),
-            means=np.asarray(obj["means"], dtype=np.float64),
-            covariances=np.asarray(obj["covariances"], dtype=np.float64),
-        )
+        """Inverse of :meth:`to_json`; malformed text raises :class:`ModelError`."""
+        try:
+            obj = json.loads(text)
+            arrays = {key: np.asarray(obj[key], dtype=np.float64) for key in ("weights", "means", "covariances")}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelError(f"cluster model JSON is malformed: {exc!r}") from exc
+        return cls(**arrays)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json())

@@ -310,7 +310,11 @@ def save_points_csv(path: str | Path, points: PointSet, labels: np.ndarray | Non
 
 
 def load_points_csv(path: str | Path) -> tuple[PointSet, np.ndarray | None]:
-    """Read a CSV written by :func:`save_points_csv` (label column optional)."""
+    """Read a CSV written by :func:`save_points_csv` (label column optional).
+
+    A row with the wrong column count, a non-numeric coordinate or a
+    non-integer label raises :class:`SpecError` naming ``path:line``.
+    """
     with open(path, newline="") as f:
         reader = csv.reader(f)
         try:
@@ -325,9 +329,12 @@ def load_points_csv(path: str | Path) -> tuple[PointSet, np.ndarray | None]:
                 continue
             if len(row) != len(header):
                 raise SpecError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-            rows.append([float(v) for v in row[:ncols]])
-            if has_label:
-                labels.append(int(row[-1]))
+            try:
+                rows.append([float(v) for v in row[:ncols]])
+                if has_label:
+                    labels.append(int(row[-1]))
+            except ValueError as exc:
+                raise SpecError(f"{path}:{lineno}: {exc}") from exc
     if not rows:
         raise TruncatedFile(f"{path}: no data rows")
     return PointSet(np.asarray(rows)), (np.asarray(labels, dtype=np.int64) if has_label else None)

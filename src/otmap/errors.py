@@ -41,7 +41,7 @@ class TooFewPoints(OtmapError):
 
 
 class InvalidCount(OtmapError):
-    """A requested sample or frame count is out of range."""
+    """A requested number of samples, points or clusters is out of range."""
 
 
 class ModelError(OtmapError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .errors import InvalidCost, InvalidCount, OtmapError, SizeMismatch, SpecError, TooFewPoints
 from .nn import (
@@ -43,11 +43,10 @@ from .ot import (
     solve_assignment,
 )
 
-# Up to this batch size the diversity penalty uses every pair, through a
-# dense k x k float64 distance matrix and one work array of the same size
-# (2 MiB each at the cutoff).  Above it, a random subsample of 2k pairs
-# keeps the cost linear in k.
-DIVERSITY_EXACT_MAX_K = 512
+# The diversity penalty walks the k x k pair grid this many rows at a time,
+# so it holds two block x k float64 arrays (4 MiB at k = 1024) instead of
+# k x k ones.
+_PENALTY_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -155,69 +154,41 @@ class TrainResult:
     traces: list[FeedbackTrace] = field(default_factory=list)
 
 
-def _pair_indices(k: int, rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
-    # 2k random unordered pairs (i, j), j != i, for the subsampled penalty.
-    if rng is None:
-        rng = np.random.default_rng(0)
-    i = rng.integers(0, k, size=2 * k)
-    j = rng.integers(0, k - 1, size=2 * k)
-    j = np.where(j >= i, j + 1, j)  # j != i, uniform over the rest
-    return i, j
-
-
-def _unit_difference_sums(x: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Row i: sum over j of (x_i - x_j) / max(||x_i - x_j||, 1e-12).
-
-    ``dist`` is the condensed (``pdist``) distance vector of ``x``.  Each
-    coordinate column is differenced explicitly, so a coincident pair adds
-    exactly zero (a ``W.sum(1) * x - W @ x`` form would cancel
-    catastrophically against the 1e12 weights the floor gives such pairs).
-    """
-    denom = squareform(dist)
-    np.maximum(denom, 1e-12, out=denom)
-    work = np.empty_like(denom)
-    sums = np.empty_like(x)
-    for c in range(x.shape[1]):
-        col = x[:, c]
-        np.subtract.outer(col, col, out=work)
-        work /= denom
-        sums[:, c] = work.sum(axis=1)
-    return sums
-
-
-def diversity_penalty(
-    p: PointSet, z: PointSet, rng: np.random.Generator | None = None
-) -> tuple[float, np.ndarray]:
+def diversity_penalty(p: PointSet, z: PointSet) -> tuple[float, np.ndarray]:
     """|mean pairwise distance of p - mean pairwise distance of z| and d/dp.
 
     Pulls the generated points' average spread toward the target points'
-    average spread; z is treated as a constant.  For k above
-    ``DIVERSITY_EXACT_MAX_K`` both means use one shared random subsample of
-    2k point pairs (pass ``rng`` to control it).
+    average spread; z is treated as a constant.  Both means use every pair
+    at every k.  The pair grid is walked ``_PENALTY_BLOCK`` rows at a time,
+    so memory is O(block * k), not O(k^2).
+
+    Row i of the gradient sums (p_i - p_j) / max(||p_i - p_j||, 1e-12) over
+    j, differencing each coordinate column explicitly, so a coincident pair
+    adds exactly zero (a ``W.sum(1) * x - W @ x`` form would cancel
+    catastrophically against the 1e12 weights the floor gives such pairs).
     """
     if p.k != z.k or p.d != z.d:
         raise SizeMismatch(f"sets must match in shape: ({p.k}, {p.d}) vs ({z.k}, {z.d})")
     if p.k < 2:
         raise TooFewPoints(f"diversity penalty needs k >= 2, got k={p.k}")
-    if p.k <= DIVERSITY_EXACT_MAX_K:
-        dist_p = pdist(p.data)
-        mpd_p = float(dist_p.mean())
-        mpd_z = float(pdist(z.data).mean())
-        grad = _unit_difference_sums(p.data, dist_p)
-        n_pairs = len(dist_p)
-    else:
-        i, j = _pair_indices(p.k, rng)
-        diff = p.data[i] - p.data[j]
-        norms = np.linalg.norm(diff, axis=1)
-        mpd_p = float(norms.mean())
-        mpd_z = float(np.linalg.norm(z.data[i] - z.data[j], axis=1).mean())
-        units = diff / np.maximum(norms, 1e-12)[:, None]
-        grad = np.zeros_like(p.data)
-        np.add.at(grad, i, units)
-        np.add.at(grad, j, -units)
-        n_pairs = len(i)
-    grad *= np.sign(mpd_p - mpd_z) / n_pairs
-    return abs(mpd_p - mpd_z), grad
+    x = p.data
+    total_p = total_z = 0.0
+    grad = np.empty_like(x)
+    for lo in range(0, p.k, _PENALTY_BLOCK):
+        rows = slice(lo, lo + _PENALTY_BLOCK)
+        denom = cdist(x[rows], x)
+        total_p += denom.sum()
+        total_z += cdist(z.data[rows], z.data).sum()
+        np.maximum(denom, 1e-12, out=denom)
+        work = np.empty_like(denom)
+        for c in range(p.d):
+            np.subtract.outer(x[rows, c], x[:, c], out=work)
+            work /= denom
+            grad[rows, c] = work.sum(axis=1)
+    n_ordered = p.k * (p.k - 1)
+    gap = total_p / n_ordered - total_z / n_ordered
+    grad *= np.sign(gap) / (n_ordered // 2)
+    return abs(gap), grad
 
 
 def generate(net: Mlp, prior: PriorSpec, n: int, rng: np.random.Generator | None = None) -> PointSet:
@@ -240,6 +211,8 @@ def pool_sampler(
     pool: PointSet, batch_k: int, seed: int
 ) -> Callable[[], PointSet]:
     """Epoch-style batch source: without replacement, reshuffled when spent."""
+    if batch_k < 1:
+        raise SpecError(f"batch_k must be >= 1, got {batch_k}")
     if batch_k > pool.k:
         raise SpecError(f"batch_k ({batch_k}) exceeds pool size ({pool.k})")
     batches = _epoch_indices(pool.k, batch_k, np.random.default_rng(seed))
@@ -327,7 +300,7 @@ def train_otgen(
     penalty, with the assignment held fixed.
     """
     prior = _check_mapper(cfg, net)
-    prior_rng, div_rng = _spawn_rngs(cfg.seed, 2)
+    prior_rng = _spawn_rngs(cfg.seed, 1)[0]
     snapshots: list[tuple[int, PointSet, PointSet, PointSet, Assignment]] = []
 
     def rematched() -> Iterator[tuple[np.ndarray, Callable]]:
@@ -342,7 +315,7 @@ def train_otgen(
                 sigma = solve_assignment(pairwise_cost(preds, z, CostMetric.SQUARED_EUCLIDEAN))
                 extra = None
                 if cfg.lambda_div > 0:
-                    dval, dgrad = diversity_penalty(preds, z, div_rng)
+                    dval, dgrad = diversity_penalty(preds, z)
                     extra = (cfg.lambda_div * dval, cfg.lambda_div * dgrad)
                 if cfg.trace_every and (step % cfg.trace_every == 0 or step == cfg.steps - 1):
                     snapshots.append((step, noise, preds, z, sigma))

@@ -22,6 +22,7 @@ a fixed seed and data order.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 from enum import Enum
 from math import prod
@@ -111,7 +112,9 @@ class Mlp:
     and rebinds each ``weight`` and ``bias`` to a view into it: change them
     in place (``layer.weight[:] = ...``), since a rebound array would no
     longer be the one training updates.  Every array must have its spec's
-    shape and the first weight's dtype.
+    shape and the first weight's dtype, and each layer's input dimension
+    the previous layer's output dimension, else :class:`SpecError` (or
+    :class:`SizeMismatch` for an array of the wrong shape).
 
     Mutable training state: a single trainer owns an Mlp at a time.
     Forward passes on an Mlp nobody is mutating are safe from any thread.
@@ -123,6 +126,12 @@ class Mlp:
     def __post_init__(self) -> None:
         if not self.layers:
             raise SpecError("a network needs at least one layer")
+        for prev, cur in zip(self.layers, self.layers[1:]):
+            if prev.spec.out_dim != cur.spec.in_dim:
+                raise SpecError(
+                    f"layer dims do not chain: {prev.spec.in_dim}->{prev.spec.out_dim} followed by "
+                    f"{cur.spec.in_dim}->{cur.spec.out_dim}"
+                )
         dtype = self.layers[0].weight.dtype
         for i, l in enumerate(self.layers):
             if l.weight.dtype != dtype or l.bias.dtype != dtype:
@@ -173,14 +182,6 @@ def init_mlp(specs: list[LayerSpec], seed: int, dtype: type = np.float32) -> Mlp
     Weights are drawn uniformly from +-sqrt(6 / fan_in) (He-style scaling
     for the LeakyReLU stacks used here).  Deterministic per seed.
     """
-    if not specs:
-        raise SpecError("need at least one layer spec")
-    for prev, cur in zip(specs, specs[1:]):
-        if prev.out_dim != cur.in_dim:
-            raise SpecError(
-                f"layer dims do not chain: {prev.in_dim}->{prev.out_dim} followed by "
-                f"{cur.in_dim}->{cur.out_dim}"
-            )
     rng = np.random.default_rng(seed)
     layers = []
     for spec in specs:
@@ -392,7 +393,6 @@ class CheckpointBundle:
 
     net: Mlp
     adam: AdamState | None = None
-    rng_state: dict | None = None
     extra: dict = field(default_factory=dict)
 
 
@@ -400,7 +400,6 @@ def save_checkpoint(
     path: str | Path,
     net: Mlp,
     adam: AdamState | None = None,
-    rng_state: dict | None = None,
     extra: dict | None = None,
 ) -> None:
     """Write a versioned .npz checkpoint; round-trips bit-exactly."""
@@ -420,7 +419,6 @@ def save_checkpoint(
         "adam": None
         if adam is None
         else {"t": adam.t, "beta1": adam.beta1, "beta2": adam.beta2, "eps": adam.eps},
-        "rng_state": rng_state,
         "extra": extra or {},
     }
     arrays: dict[str, np.ndarray] = {}
@@ -445,32 +443,58 @@ def _checked(data, key: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndar
     return arr
 
 
-def load_checkpoint(path: str | Path) -> CheckpointBundle:
-    """Load a checkpoint written by :func:`save_checkpoint`.
-
-    Every array must have the shape its layer metadata gives (Adam moments
-    that of their parameter) and the dtype ``meta["dtype"]`` names, else
-    :class:`SpecError` naming the array.  The loaded arrays are copied into
-    the net's and the moments' flat vectors.
-    """
-    with np.load(path, allow_pickle=False) as data:
+def _read_meta(data, path: str | Path) -> tuple[np.dtype, list[LayerSpec], dict | None, dict]:
+    # The checkpoint's JSON header as (dtype, layer specs, Adam settings or
+    # None, extra); any missing or mistyped entry is a SpecError naming the file.
+    try:
         meta = json.loads(str(data["meta"]))
-        if meta.get("format") != CHECKPOINT_FORMAT:
+        if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
             raise SpecError(f"{path}: not an otmap checkpoint")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise SpecError(f"{path}: unsupported checkpoint version {meta.get('version')}")
-        dtype = np.dtype(meta["dtype"])
-        layers = []
-        for i, ls in enumerate(meta["layers"]):
-            spec = LayerSpec(
+        specs = [
+            LayerSpec(
                 in_dim=ls["in_dim"],
                 out_dim=ls["out_dim"],
                 activation=Activation(ls["activation"]),
                 slope=ls["slope"],
             )
-            weight = _checked(data, f"w{i}", (spec.out_dim, spec.in_dim), dtype)
-            bias = _checked(data, f"b{i}", (spec.out_dim,), dtype)
-            layers.append(Layer(weight=weight, bias=bias, spec=spec))
+            for ls in meta["layers"]
+        ]
+        a = meta["adam"]
+        adam = None if a is None else {key: a[key] for key in ("t", "beta1", "beta2", "eps")}
+        return np.dtype(meta["dtype"]), specs, adam, meta["extra"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecError(f"{path}: malformed checkpoint metadata: {exc!r}") from exc
+
+
+def load_checkpoint(path: str | Path) -> CheckpointBundle:
+    """Load a checkpoint written by :func:`save_checkpoint`.
+
+    A file that is not an npz archive, or whose metadata is missing or
+    malformed, raises :class:`SpecError` naming the file.  Every array must
+    have the shape its layer metadata gives (Adam moments that of their
+    parameter) and the dtype ``meta["dtype"]`` names, else
+    :class:`SpecError` naming the array.  The loaded arrays are copied into
+    the net's and the moments' flat vectors.  Keys the metadata carries
+    beyond these (such as an older file's ``rng_state``) are ignored.
+    """
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise SpecError(f"{path}: not an npz checkpoint: {exc}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise SpecError(f"{path}: not an npz checkpoint: holds a single array")
+    with data:
+        dtype, specs, adam_meta, extra = _read_meta(data, path)
+        layers = [
+            Layer(
+                weight=_checked(data, f"w{i}", (spec.out_dim, spec.in_dim), dtype),
+                bias=_checked(data, f"b{i}", (spec.out_dim,), dtype),
+                spec=spec,
+            )
+            for i, spec in enumerate(specs)
+        ]
         net = Mlp(layers=layers)
 
         def moments(prefix: str) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -481,14 +505,6 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
             ]
 
         adam = None
-        if meta["adam"] is not None:
-            a = meta["adam"]
-            adam = AdamState(
-                m=moments("m"),
-                v=moments("v"),
-                t=a["t"],
-                beta1=a["beta1"],
-                beta2=a["beta2"],
-                eps=a["eps"],
-            )
-        return CheckpointBundle(net=net, adam=adam, rng_state=meta["rng_state"], extra=meta["extra"])
+        if adam_meta is not None:
+            adam = AdamState(m=moments("m"), v=moments("v"), **adam_meta)
+        return CheckpointBundle(net=net, adam=adam, extra=extra)

@@ -166,3 +166,9 @@ class TestEncodeDecode:
         _, result = trained
         with pytest.raises(SizeMismatch):
             decode(result.decoder, PointSet(np.zeros((2, 3))))
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_rejects_empty_chunks(self, trained, chunk):
+        images, result = trained
+        with pytest.raises(SpecError, match="chunk"):
+            encode(result.encoder, images, chunk=chunk)

@@ -138,3 +138,17 @@ class TestClusterModelJson:
                 means=np.zeros((1, 2)),
                 covariances=np.array([[[np.inf, 0.0], [0.0, 1.0]]]),
             )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"weights": [1.0], "means": [[0.0, 0.0]]',
+            '{"weights": [1.0], "means": [[0.0, 0.0]]}',
+            '[1.0, 2.0]',
+            '{"weights": [0.5, 0.5], "means": [0.0, 0.0], "covariances": [[[1.0]], [[1.0]]]}',
+        ],
+        ids=["invalid-json", "missing-key", "not-an-object", "flat-means"],
+    )
+    def test_malformed_json_rejected(self, text):
+        with pytest.raises(ModelError):
+            ClusterModel.from_json(text)

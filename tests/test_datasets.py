@@ -198,3 +198,18 @@ class TestPointsCsv:
         path.write_text("")
         with pytest.raises(TruncatedFile):
             load_points_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("x,y\n0.5,1.0\n0.25,abc\n", 3),
+            ("x,y,label\n0.5,1.0,1.5\n", 2),
+            ("x,y,label\n0.5,1.0,0\n1.0,2.0,\n", 3),
+        ],
+        ids=["non-numeric-cell", "fractional-label", "empty-label"],
+    )
+    def test_bad_cell_names_path_and_line(self, tmp_path, body, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        with pytest.raises(SpecError, match=f"{path.name}:{line}:"):
+            load_points_csv(path)

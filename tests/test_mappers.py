@@ -1,6 +1,7 @@
 """Prior sampling, the diversity penalty, and both mapper trainers."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from otmap import mappers
 from otmap.datasets import SyntheticKind, SyntheticSpec, make_moons
 from otmap.errors import InvalidCount, SizeMismatch, SpecError, TooFewPoints
 from otmap.mappers import (
-    DIVERSITY_EXACT_MAX_K,
     PriorSpec,
     TrainConfig,
     diversity_penalty,
@@ -127,15 +127,6 @@ class TestDiversityPenalty:
             fd = (v_up - v_down) / (2 * h)
             assert abs(fd - grad.ravel()[idx]) / max(abs(fd), 1e-10) < 1e-4
 
-    def test_subsampled_pairs_above_limit(self):
-        rng = np.random.default_rng(5)
-        k = 600  # above the exact-enumeration cutoff
-        p = PointSet(rng.normal(size=(k, 2)))
-        z = PointSet(3.0 * rng.normal(size=(k, 2)))
-        value, grad = diversity_penalty(p, z, rng=np.random.default_rng(0))
-        assert value > 0.5  # scale gap is ~2x, subsample sees it
-        assert grad.shape == (k, 2)
-
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             diversity_penalty(PointSet([[0.0, 0.0]]), PointSet([[1.0, 1.0]]))
@@ -146,13 +137,14 @@ class TestDiversityPenalty:
         with pytest.raises(SizeMismatch):
             diversity_penalty(p, PointSet(np.ones(z_shape)))
 
-    def test_exact_path_matches_pair_enumeration_with_duplicates(self):
+    @pytest.mark.parametrize("k", [512, 600, 1025])
+    def test_exact_path_matches_pair_enumeration_with_duplicates(self, k):
         rng = np.random.default_rng(6)
-        k = DIVERSITY_EXACT_MAX_K
         p = rng.normal(size=(k, 2))
         p[1] = p[0]  # exact duplicates
         p[7] = p[0]
         p[3] = p[2] + np.array([1e-13, 0.0])  # closer than the 1e-12 floor
+        p[mappers._PENALTY_BLOCK] = p[mappers._PENALTY_BLOCK - 1]  # a pair split across row blocks
         z = 1.5 * rng.normal(size=(k, 2))
         value, grad = diversity_penalty(PointSet(p), PointSet(z))
         ref_value, ref_grad = all_pairs_penalty_reference(p, z)
@@ -161,12 +153,25 @@ class TestDiversityPenalty:
 
     def test_coincident_points_add_nothing(self):
         # Every pair is coincident, so every term of the gradient is zero.
-        k = DIVERSITY_EXACT_MAX_K
+        k = 600
         p = np.tile([0.3, -1.7], (k, 1))
         z = np.random.default_rng(7).normal(size=(k, 2))
         value, grad = diversity_penalty(PointSet(p), PointSet(z))
         assert value == pytest.approx(all_pairs_penalty_reference(p, z)[0], rel=1e-12)
         assert np.array_equal(grad, np.zeros((k, 2)))
+
+    def test_memory_grows_with_row_blocks_not_pair_grid(self):
+        # A k x k float64 matrix would be 8k^2 bytes; row blocks need far less.
+        k = 2048
+        rng = np.random.default_rng(8)
+        p, z = PointSet(rng.normal(size=(k, 2))), PointSet(rng.normal(size=(k, 2)))
+        tracemalloc.start()
+        try:
+            diversity_penalty(p, z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 8 * k * k
 
 
 class TestPoolSampler:
@@ -193,6 +198,12 @@ class TestPoolSampler:
         pool = PointSet(np.zeros((3, 2)))
         with pytest.raises(SpecError):
             pool_sampler(pool, 4, seed=0)
+
+    @pytest.mark.parametrize("batch_k", [0, -2])
+    def test_rejects_empty_batch_when_built(self, batch_k):
+        pool = PointSet(np.zeros((3, 2)))
+        with pytest.raises(SpecError, match="batch_k"):
+            pool_sampler(pool, batch_k, seed=0)
 
 
 class TestGenerate:

@@ -1,7 +1,9 @@
 """Network construction, forward/backward correctness, Adam, checkpoints."""
 
 import copy
+import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +180,12 @@ class TestFlatStorage:
             Mlp([Layer(np.zeros((3, 2)), np.zeros(3, dtype=np.float32), spec)])
         with pytest.raises(SpecError):
             Mlp([])
+
+    def test_rejects_unchained_layers(self):
+        layers = [Layer(np.zeros((3, 2)), np.zeros(3), LayerSpec(2, 3)),
+                  Layer(np.zeros((2, 9)), np.zeros(2), LayerSpec(9, 2))]
+        with pytest.raises(SpecError, match="chain"):
+            Mlp(layers)
 
     @pytest.mark.parametrize("clone", [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
                              ids=["deepcopy", "pickle"])
@@ -479,12 +487,10 @@ class TestCheckpoints:
         for _ in range(3):
             x = PointSet(rng.normal(size=(8, 2)))
             adam_step(net, backward(net, x, rng.normal(size=(8, 2))), state, lr=1e-3)
-        rng_state = rng.bit_generator.state
         path = tmp_path / "net.npz"
-        save_checkpoint(path, net, adam=state, rng_state=rng_state, extra={"note": "test"})
+        save_checkpoint(path, net, adam=state, extra={"note": "test"})
         bundle = load_checkpoint(path)
         assert bundle.extra == {"note": "test"}
-        assert bundle.rng_state == rng_state
         assert bundle.adam.t == state.t
         for la, lb in zip(net.layers, bundle.net.layers):
             assert la.spec == lb.spec
@@ -558,4 +564,61 @@ class TestCheckpoints:
         path = tmp_path / "foreign.npz"
         np.savez(path, meta=np.array('{"format": "something-else"}'))
         with pytest.raises(SpecError):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _rewrite(path, edit_meta=None, **arrays):
+        # Re-save a checkpoint with its metadata edited in place and the
+        # given arrays replaced (None drops one).
+        with np.load(path) as data:
+            saved = {name: data[name] for name in data.files}
+        meta = json.loads(str(saved["meta"]))
+        if edit_meta is not None:
+            edit_meta(meta)
+        saved["meta"] = np.array(json.dumps(meta))
+        saved.update(arrays)
+        np.savez(path, **{name: a for name, a in saved.items() if a is not None})
+
+    def test_loads_older_file_with_rng_state(self, tmp_path):
+        net = init_mlp([LayerSpec(2, 4), LayerSpec(4, 2, Activation.IDENTITY)], seed=0)
+        path = tmp_path / "old.npz"
+        save_checkpoint(path, net, adam=init_adam(net))
+        state = np.random.default_rng(1).bit_generator.state
+        self._rewrite(path, lambda meta: meta.update(rng_state=state))
+        bundle = load_checkpoint(path)
+        assert_same_bits(bundle.net.params, net.params)
+        assert bundle.adam.t == 0
+
+    def test_rejects_unchained_layers(self, tmp_path):
+        # Each array matches its own layer's metadata, but 2->3 cannot feed 9->2.
+        net = init_mlp([LayerSpec(2, 3), LayerSpec(3, 2, Activation.IDENTITY)], seed=0)
+        path = tmp_path / "net.npz"
+        save_checkpoint(path, net)
+        self._rewrite(
+            path, lambda meta: meta["layers"][1].update(in_dim=9), w1=np.zeros((2, 9), dtype=np.float32)
+        )
+        with pytest.raises(SpecError, match="chain"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "damage", ["no-meta", "layer-without-slope", "not-npz", "empty", "truncated", "single-array"]
+    )
+    def test_rejects_malformed_file_naming_it(self, tmp_path, damage):
+        net = init_mlp([LayerSpec(2, 4), LayerSpec(4, 2, Activation.IDENTITY)], seed=0)
+        path = tmp_path / "net.npz"
+        save_checkpoint(path, net)
+        if damage == "no-meta":
+            self._rewrite(path, meta=None)
+        elif damage == "layer-without-slope":
+            self._rewrite(path, lambda meta: meta["layers"][0].pop("slope"))
+        elif damage == "not-npz":
+            path.write_text("in_dim,out_dim\n2,4\n")
+        elif damage == "empty":
+            path.write_bytes(b"")
+        elif damage == "truncated":
+            path.write_bytes(path.read_bytes()[:100])
+        else:
+            with open(path, "wb") as f:
+                np.save(f, net.params)
+        with pytest.raises(SpecError, match=re.escape(str(path))):
             load_checkpoint(path)
