@@ -19,6 +19,7 @@ divergence linearly, so it changes no ranking.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -126,12 +127,6 @@ def make_circles(spec: SyntheticSpec) -> PointSet:
     if spec.noise_sd > 0:
         pts += rng.normal(0.0, spec.noise_sd, pts.shape)
     return PointSet(pts * spec.resolved_scale)
-
-
-def make_synthetic(spec: SyntheticSpec) -> PointSet:
-    if spec.kind is SyntheticKind.MOONS:
-        return make_moons(spec)
-    return make_circles(spec)
 
 
 def synthetic_labels(spec: SyntheticSpec) -> np.ndarray:
@@ -312,8 +307,9 @@ def save_points_csv(path: str | Path, points: PointSet, labels: np.ndarray | Non
 def load_points_csv(path: str | Path) -> tuple[PointSet, np.ndarray | None]:
     """Read a CSV written by :func:`save_points_csv` (label column optional).
 
-    A row with the wrong column count, a non-numeric coordinate or a
-    non-integer label raises :class:`SpecError` naming ``path:line``.
+    A row with the wrong column count, a non-numeric or non-finite
+    coordinate, or a label that is not an int64 integer raises
+    :class:`SpecError` naming ``path:line``.
     """
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -330,11 +326,17 @@ def load_points_csv(path: str | Path) -> tuple[PointSet, np.ndarray | None]:
             if len(row) != len(header):
                 raise SpecError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
             try:
-                rows.append([float(v) for v in row[:ncols]])
-                if has_label:
-                    labels.append(int(row[-1]))
+                coords = [float(v) for v in row[:ncols]]
+                label = int(row[-1]) if has_label else 0
             except ValueError as exc:
                 raise SpecError(f"{path}:{lineno}: {exc}") from exc
+            if not all(math.isfinite(v) for v in coords):
+                raise SpecError(f"{path}:{lineno}: coordinates must be finite, got {row[:ncols]}")
+            if not -(2**63) <= label < 2**63:
+                raise SpecError(f"{path}:{lineno}: label {label} does not fit in int64")
+            rows.append(coords)
+            if has_label:
+                labels.append(label)
     if not rows:
         raise TruncatedFile(f"{path}: no data rows")
     return PointSet(np.asarray(rows)), (np.asarray(labels, dtype=np.int64) if has_label else None)

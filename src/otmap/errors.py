@@ -20,10 +20,6 @@ class InvalidCost(OtmapError):
     """A cost matrix contains NaN or infinite entries."""
 
 
-class UnsupportedMetric(OtmapError):
-    """The requested cost metric is not valid for this operation."""
-
-
 class PoolTooLarge(OtmapError):
     """A point set exceeds the dense-solve size limit."""
 

@@ -37,7 +37,6 @@ from .nn import (
 )
 from .ot import (
     Assignment,
-    CostMetric,
     PointSet,
     pairwise_cost,
     solve_assignment,
@@ -276,7 +275,7 @@ def train_ottrans(targets: PointSet, cfg: TrainConfig, net: Mlp) -> TrainResult:
 
     prior_rng, batch_rng = _spawn_rngs(cfg.seed, 2)
     noise = sample_prior(prior, m, prior_rng)  # PoolTooLarge surfaces in pairwise_cost
-    sigma = solve_assignment(pairwise_cost(noise, targets, CostMetric.SQUARED_EUCLIDEAN))
+    sigma = solve_assignment(pairwise_cost(noise, targets))
     matched = targets.data[sigma.perm]
     matched.setflags(write=False)
 
@@ -312,7 +311,7 @@ def train_otgen(
 
             def pair(out: np.ndarray) -> tuple[np.ndarray, tuple | None]:
                 preds = PointSet(out)
-                sigma = solve_assignment(pairwise_cost(preds, z, CostMetric.SQUARED_EUCLIDEAN))
+                sigma = solve_assignment(pairwise_cost(preds, z))
                 extra = None
                 if cfg.lambda_div > 0:
                     dval, dgrad = diversity_penalty(preds, z)

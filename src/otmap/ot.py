@@ -5,6 +5,10 @@ its optimal solution, so everything here reduces to the linear assignment
 problem: build a dense cost matrix, solve it exactly, and read distances
 off the matched pairs.
 
+There is one cost, squared Euclidean: every mapper, the OTTrans pairing and
+the divergence solve under it.  Reported distances (:func:`matched_distances`,
+:func:`ot_divergence`) are the Euclidean lengths of the matched pairs.
+
 The solver is :func:`scipy.optimize.linear_sum_assignment` (a shortest
 augmenting path method of the Jonker-Volgenant family).  The result is exact
 and deterministic per input: a minimum-total-cost permutation, the same one
@@ -23,13 +27,12 @@ solved instead (see :func:`solve_assignment`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .errors import InvalidCost, PoolTooLarge, SizeMismatch, UnsupportedMetric
+from .errors import InvalidCost, PoolTooLarge, SizeMismatch
 
 # Dense k x k matrices only; above this the cost matrix alone is > 2 GiB.
 MAX_DENSE_K = 16384
@@ -42,25 +45,6 @@ WARM_START_MAX_K = 1024
 # rounding of C - f - g keeps the warm total within 5e-13 of the optimum,
 # relative.
 _MAX_POTENTIAL_RATIO = 1e3
-
-
-class CostMetric(Enum):
-    """Pointwise cost c(a, b) used for assignments and reported distances.
-
-    Squared Euclidean is the training cost, Euclidean the default for
-    reported divergences, L1 available for feedback plots.
-    """
-
-    SQUARED_EUCLIDEAN = "sqeuclidean"
-    EUCLIDEAN = "euclidean"
-    L1 = "l1"
-
-
-_CDIST_NAME = {
-    CostMetric.SQUARED_EUCLIDEAN: "sqeuclidean",
-    CostMetric.EUCLIDEAN: "euclidean",
-    CostMetric.L1: "cityblock",
-}
 
 
 @dataclass(frozen=True)
@@ -98,10 +82,9 @@ class PointSet:
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Dense k x k matrix of pairwise costs under a given metric."""
+    """Dense k x k matrix of pairwise costs (squared Euclidean from :func:`pairwise_cost`)."""
 
     values: np.ndarray
-    metric: CostMetric
 
     @property
     def k(self) -> int:
@@ -141,17 +124,16 @@ def _check_same_shape(a: PointSet, b: PointSet) -> None:
         )
 
 
-def pairwise_cost(a: PointSet, b: PointSet, metric: CostMetric) -> CostMatrix:
-    """All-pairs costs between two equal-size point sets.
+def pairwise_cost(a: PointSet, b: PointSet) -> CostMatrix:
+    """All-pairs squared Euclidean costs between two equal-size point sets.
 
-    Entry (i, j) is ``metric(a_i, b_j)``.  Raises :class:`SizeMismatch` on
+    Entry (i, j) is ``|a_i - b_j|^2``.  Raises :class:`SizeMismatch` on
     shape disagreement and :class:`PoolTooLarge` above the dense limit.
     """
     _check_same_shape(a, b)
     if a.k > MAX_DENSE_K:
         raise PoolTooLarge(f"k={a.k} exceeds the dense cost-matrix limit of {MAX_DENSE_K}")
-    values = cdist(a.data, b.data, _CDIST_NAME[metric])
-    return CostMatrix(values=values, metric=metric)
+    return CostMatrix(values=cdist(a.data, b.data, "sqeuclidean"))
 
 
 def _reduced_costs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -234,34 +216,19 @@ def solve_assignment(costs: CostMatrix) -> Assignment:
     return Assignment(perm=perm, total_cost=total)
 
 
-def matched_distances(a: PointSet, b: PointSet, sigma: Assignment, metric: CostMetric) -> np.ndarray:
-    """Per-pair costs metric(a_i, b_{sigma(i)}) as a length-k vector."""
+def matched_distances(a: PointSet, b: PointSet, sigma: Assignment) -> np.ndarray:
+    """Euclidean per-pair distances |a_i - b_{sigma(i)}| as a length-k vector."""
     _check_same_shape(a, b)
     if sigma.k != a.k:
         raise SizeMismatch(f"assignment covers {sigma.k} points but sets have {a.k}")
-    diff = a.data - b.data[sigma.perm]
-    if metric is CostMetric.SQUARED_EUCLIDEAN:
-        return np.einsum("ij,ij->i", diff, diff)
-    if metric is CostMetric.EUCLIDEAN:
-        return np.linalg.norm(diff, axis=1)
-    if metric is CostMetric.L1:
-        return np.abs(diff).sum(axis=1)
-    raise UnsupportedMetric(f"unknown metric {metric!r}")
+    return np.linalg.norm(a.data - b.data[sigma.perm], axis=1)
 
 
-def ot_divergence(
-    a: PointSet,
-    b: PointSet,
-    assign_metric: CostMetric = CostMetric.SQUARED_EUCLIDEAN,
-    report_metric: CostMetric = CostMetric.EUCLIDEAN,
-) -> float:
-    """Average matched-pair distance under the optimal bijection.
+def ot_divergence(a: PointSet, b: PointSet) -> float:
+    """Mean Euclidean matched-pair distance under the squared-Euclidean optimum.
 
-    The bijection is solved under ``assign_metric``; the reported average
-    uses ``report_metric``.  Defaults follow the package convention:
-    assign under squared Euclidean (the training cost), report Euclidean
-    (an average distance).
+    The bijection minimises the total squared Euclidean cost (the training
+    cost); the reported average is of the plain Euclidean distances.
     """
-    sigma = solve_assignment(pairwise_cost(a, b, assign_metric))
-    return float(matched_distances(a, b, sigma, report_metric).mean())
-
+    sigma = solve_assignment(pairwise_cost(a, b))
+    return float(matched_distances(a, b, sigma).mean())

@@ -72,16 +72,6 @@ class _SvgCanvas:
         Path(path).write_text("\n".join(self.parts))
 
 
-def write_scatter_svg(path: str | Path, series: list[tuple[np.ndarray, str]]) -> None:
-    """Scatter one or more (k, 2) arrays, each with its own fill color."""
-    if not series:
-        raise SpecError("nothing to plot")
-    canvas = _SvgCanvas([np.asarray(a, dtype=np.float64) for a, _ in series])
-    for arr, color in series:
-        canvas.add_points(np.asarray(arr, dtype=np.float64), color)
-    canvas.write(path)
-
-
 def write_feedback_svg(
     path: str | Path,
     predictions: np.ndarray,

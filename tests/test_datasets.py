@@ -205,8 +205,14 @@ class TestPointsCsv:
             ("x,y\n0.5,1.0\n0.25,abc\n", 3),
             ("x,y,label\n0.5,1.0,1.5\n", 2),
             ("x,y,label\n0.5,1.0,0\n1.0,2.0,\n", 3),
+            ("x,y,label\n0.5,1.0,0\n1.0,2.0,99999999999999999999999\n", 3),
+            ("x,y\n0.5,1.0\n0.25,nan\n", 3),
+            ("x,y\n0.5,1.0\n1.0,2.0\n-inf,0.0\n", 4),
         ],
-        ids=["non-numeric-cell", "fractional-label", "empty-label"],
+        ids=[
+            "non-numeric-cell", "fractional-label", "empty-label",
+            "label-beyond-int64", "nan-cell", "inf-cell",
+        ],
     )
     def test_bad_cell_names_path_and_line(self, tmp_path, body, line):
         path = tmp_path / "bad.csv"

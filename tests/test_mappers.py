@@ -22,7 +22,7 @@ from otmap.mappers import (
     train_ottrans,
 )
 from otmap.nn import Activation, LayerSpec, forward, init_mlp
-from otmap.ot import CostMetric, PointSet, ot_divergence, pairwise_cost, solve_assignment
+from otmap.ot import PointSet, ot_divergence, pairwise_cost, solve_assignment
 
 
 def small_mapper(seed=0, in_dim=2, out_dim=2, width=64, hidden=2, dtype=np.float32):
@@ -262,7 +262,7 @@ class TestTrainOttrans:
         # The noise pool is the first of the two streams spawned from cfg.seed.
         prior_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed).spawn(2)[0]))
         pool = sample_prior(cfg.prior, targets.k, prior_rng)
-        sigma = solve_assignment(pairwise_cost(pool, targets, CostMetric.SQUARED_EUCLIDEAN))
+        sigma = solve_assignment(pairwise_cost(pool, targets))
         assert len(xs) == len(ys) == cfg.steps
         for x, y in zip(xs, ys):
             hits = np.all(x[:, None, :] == pool.data[None, :, :], axis=2)
@@ -307,7 +307,7 @@ class TestTrainOtgen:
         assert len(result.traces) == 5
         for trace in result.traces:
             sigma = solve_assignment(
-                pairwise_cost(trace.predictions, trace.targets, CostMetric.SQUARED_EUCLIDEAN)
+                pairwise_cost(trace.predictions, trace.targets)
             )
             assert trace.loss == pytest.approx(sigma.total_cost / trace.predictions.k, rel=1e-9)
             assert result.losses[trace.step] == pytest.approx(trace.loss, rel=1e-12)
@@ -325,7 +325,7 @@ class TestTrainOtgen:
         from otmap.nn import _backward_from_cache, _forward_cached
 
         out, cache = _forward_cached(net, noise.data)
-        sigma = solve_assignment(pairwise_cost(PointSet(out), z, CostMetric.SQUARED_EUCLIDEAN))
+        sigma = solve_assignment(pairwise_cost(PointSet(out), z))
 
         def objective() -> float:
             o, _ = _forward_cached(net, noise.data)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from otmap.datasets import SyntheticKind, SyntheticSpec, make_moons
 from otmap.errors import InvalidCost, PoolTooLarge, SizeMismatch
@@ -16,10 +17,8 @@ from otmap.ot import (
     WARM_START_MAX_K,
     Assignment,
     CostMatrix,
-    CostMetric,
     PointSet,
     _reduced_costs,
-    matched_distances,
     ot_divergence,
     pairwise_cost,
     solve_assignment,
@@ -55,79 +54,69 @@ class TestPointSet:
 
 
 class TestPairwiseCost:
-    def test_pythagorean_euclidean(self):
-        c = pairwise_cost(PointSet([[0.0, 0.0]]), PointSet([[3.0, 4.0]]), CostMetric.EUCLIDEAN)
-        np.testing.assert_allclose(c.values, [[5.0]])
-
     def test_pythagorean_squared(self):
-        c = pairwise_cost(PointSet([[0.0, 0.0]]), PointSet([[3.0, 4.0]]), CostMetric.SQUARED_EUCLIDEAN)
+        c = pairwise_cost(PointSet([[0.0, 0.0]]), PointSet([[3.0, 4.0]]))
         np.testing.assert_allclose(c.values, [[25.0]])
-
-    def test_l1_matrix(self):
-        a = PointSet([[1.0, 1.0], [0.0, 0.0]])
-        b = PointSet([[1.0, 1.0], [2.0, 2.0]])
-        c = pairwise_cost(a, b, CostMetric.L1)
-        np.testing.assert_allclose(c.values, [[0.0, 2.0], [2.0, 4.0]])
 
     def test_size_mismatch_names_shapes(self):
         with pytest.raises(SizeMismatch, match=r"\(1, 2\).*\(2, 2\)"):
-            pairwise_cost(PointSet([[0.0, 0.0]]), PointSet([[1.0, 1.0], [2.0, 2.0]]), CostMetric.L1)
+            pairwise_cost(PointSet([[0.0, 0.0]]), PointSet([[1.0, 1.0], [2.0, 2.0]]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(SizeMismatch):
-            pairwise_cost(PointSet([[0.0, 0.0]]), PointSet([[1.0, 1.0, 1.0]]), CostMetric.L1)
+            pairwise_cost(PointSet([[0.0, 0.0]]), PointSet([[1.0, 1.0, 1.0]]))
 
     def test_dense_limit(self):
         big = PointSet(np.zeros((16385, 1)))
         with pytest.raises(PoolTooLarge):
-            pairwise_cost(big, big, CostMetric.EUCLIDEAN)
+            pairwise_cost(big, big)
 
     def test_recompute_invariant(self):
         rng = np.random.default_rng(5)
         a, b = PointSet(rng.normal(size=(6, 3))), PointSet(rng.normal(size=(6, 3)))
-        c = pairwise_cost(a, b, CostMetric.SQUARED_EUCLIDEAN)
+        c = pairwise_cost(a, b)
         manual = ((a.data[:, None, :] - b.data[None, :, :]) ** 2).sum(axis=2)
         np.testing.assert_allclose(c.values, manual, rtol=1e-12, atol=1e-12)
 
 
 class TestSolveAssignment:
     def test_zero_diagonal(self):
-        sol = solve_assignment(CostMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), CostMetric.L1))
+        sol = solve_assignment(CostMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
         assert sol.perm.tolist() == [0, 1]
         assert sol.total_cost == 0.0
 
     def test_zero_anti_diagonal(self):
-        sol = solve_assignment(CostMatrix(np.array([[5.0, 0.0], [0.0, 5.0]]), CostMetric.L1))
+        sol = solve_assignment(CostMatrix(np.array([[5.0, 0.0], [0.0, 5.0]])))
         assert sol.perm.tolist() == [1, 0]
         assert sol.total_cost == 0.0
 
     def test_non_square(self):
         with pytest.raises(SizeMismatch):
-            solve_assignment(CostMatrix(np.zeros((2, 3)), CostMetric.L1))
+            solve_assignment(CostMatrix(np.zeros((2, 3))))
 
     def test_nan_entry(self):
         with pytest.raises(InvalidCost):
-            solve_assignment(CostMatrix(np.array([[np.nan, 1.0], [1.0, 0.0]]), CostMetric.L1))
+            solve_assignment(CostMatrix(np.array([[np.nan, 1.0], [1.0, 0.0]])))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_infinite_entry(self, bad):
         values = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
         values[1, 2] = bad
         with pytest.raises(InvalidCost):
-            solve_assignment(CostMatrix(values, CostMetric.L1))
+            solve_assignment(CostMatrix(values))
 
     def test_matches_brute_force_on_200_random_6x6(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
             values = rng.random((6, 6))
-            sol = solve_assignment(CostMatrix(values, CostMetric.L1))
+            sol = solve_assignment(CostMatrix(values))
             assert sorted(sol.perm.tolist()) == list(range(6))
             assert sol.total_cost == pytest.approx(brute_force_min_cost(values), abs=1e-12)
 
     def test_deterministic_for_fixed_input(self):
         values = np.ones((5, 5))  # fully tied: any permutation is optimal
-        first = solve_assignment(CostMatrix(values, CostMetric.L1))
-        second = solve_assignment(CostMatrix(values.copy(), CostMetric.L1))
+        first = solve_assignment(CostMatrix(values))
+        second = solve_assignment(CostMatrix(values.copy()))
         assert first.perm.tolist() == second.perm.tolist()
 
     @settings(max_examples=60, deadline=None)
@@ -137,7 +126,7 @@ class TestSolveAssignment:
     )
     def test_optimality_property(self, k, seed):
         values = np.random.default_rng(seed).random((k, k))
-        sol = solve_assignment(CostMatrix(values, CostMetric.L1))
+        sol = solve_assignment(CostMatrix(values))
         assert sorted(sol.perm.tolist()) == list(range(k))
         assert sol.total_cost == pytest.approx(brute_force_min_cost(values), abs=1e-12)
 
@@ -146,12 +135,12 @@ def noise_to_moons(k: int, seed: int) -> np.ndarray:
     """Squared costs from uniform noise to moons: the geometry training starts from."""
     noise = PointSet(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(k, 2)))
     moons = make_moons(SyntheticSpec(SyntheticKind.MOONS, k, seed=seed + 1))
-    return pairwise_cost(noise, moons, CostMetric.SQUARED_EUCLIDEAN).values
+    return pairwise_cost(noise, moons).values
 
 
 def assert_matches_reference(values: np.ndarray) -> None:
     """solve_assignment returns a permutation with the cold solver's optimal total."""
-    sol = solve_assignment(CostMatrix(values, CostMetric.SQUARED_EUCLIDEAN))
+    sol = solve_assignment(CostMatrix(values))
     rows, cols = linear_sum_assignment(values)
     assert sorted(sol.perm.tolist()) == list(range(values.shape[0]))
     assert sol.total_cost == pytest.approx(float(values[rows, cols].sum()), rel=1e-12)
@@ -171,17 +160,14 @@ class TestWarmStart:
     def test_normal_to_normal(self, k, seed):
         rng = np.random.default_rng(seed)
         a, b = PointSet(rng.normal(size=(k, 2))), PointSet(rng.normal(size=(k, 2)))
-        assert_matches_reference(pairwise_cost(a, b, CostMetric.SQUARED_EUCLIDEAN).values)
+        assert_matches_reference(pairwise_cost(a, b).values)
 
     def test_duplicated_points(self):
         rng = np.random.default_rng(4)
         noise = rng.uniform(-1.0, 1.0, size=(60, 2))
         moons = make_moons(SyntheticSpec(SyntheticKind.MOONS, 60, seed=5)).data
-        values = pairwise_cost(
-            PointSet(np.repeat(noise, 3, axis=0)), PointSet(np.repeat(moons, 3, axis=0)),
-            CostMetric.SQUARED_EUCLIDEAN,
-        ).values
-        assert_matches_reference(values)
+        a, b = PointSet(np.repeat(noise, 3, axis=0)), PointSet(np.repeat(moons, 3, axis=0))
+        assert_matches_reference(pairwise_cost(a, b).values)
 
     def test_all_equal(self):
         assert_matches_reference(np.full((50, 50), 3.0))
@@ -190,8 +176,7 @@ class TestWarmStart:
         rng = np.random.default_rng(6)
         a = PointSet(rng.integers(0, 5, size=(120, 2)))
         b = PointSet(rng.integers(3, 9, size=(120, 2)))
-        values = pairwise_cost(a, b, CostMetric.L1).values
-        assert_matches_reference(values)
+        assert_matches_reference(cdist(a.data, b.data, "cityblock"))
 
     @pytest.mark.parametrize("scale", [1e-8, 1e8])
     def test_scaled_costs(self, scale):
@@ -203,7 +188,7 @@ class TestWarmStart:
     def test_empty_matrix(self):
         assert _reduced_costs(np.zeros((0, 0))) is None
         with pytest.raises(SizeMismatch):
-            solve_assignment(CostMatrix(np.zeros((0, 0)), CostMetric.L1))
+            solve_assignment(CostMatrix(np.zeros((0, 0))))
 
     def test_negative_costs_solve_cold(self):
         values = noise_to_moons(100, 13) - 1.0
@@ -224,7 +209,7 @@ class TestWarmStart:
         values[rng.random((40, 40)) < 0.4] = 1e300
         assert _reduced_costs(values) is not None
         assert_matches_reference(values)
-        assert solve_assignment(CostMatrix(values, CostMetric.L1)).total_cost < 40.0
+        assert solve_assignment(CostMatrix(values)).total_cost < 40.0
 
     def test_non_finite_stage_keeps_previous_potentials(self):
         # The mean reduced cost overflows, so the first Sinkhorn stage is
@@ -249,7 +234,7 @@ class TestWarmStart:
     def test_peak_memory(self, k, limit):
         # One extra k x k float64 array up to the limit, none above it; the
         # cold solve's finiteness check adds no k x k bool mask (0.125) either.
-        costs = CostMatrix(noise_to_moons(k, 12), CostMetric.SQUARED_EUCLIDEAN)
+        costs = CostMatrix(noise_to_moons(k, 12))
         tracemalloc.start()
         try:
             solve_assignment(costs)
@@ -262,8 +247,7 @@ class TestWarmStart:
 class TestOtDivergence:
     def test_identity_is_zero(self):
         pts = PointSet(np.random.default_rng(0).normal(size=(100, 2)))
-        for metric in CostMetric:
-            assert ot_divergence(pts, pts, metric, metric) == 0.0
+        assert ot_divergence(pts, pts) == 0.0
 
     def test_single_forced_pair(self):
         assert ot_divergence(PointSet([[0.0, 0.0]]), PointSet([[3.0, 4.0]])) == pytest.approx(5.0)
@@ -280,17 +264,12 @@ class TestOtDivergence:
         rng = np.random.default_rng(11)
         a_rows, b_rows = rng.normal(size=(30, 2)), rng.normal(size=(30, 2))
         s = 3.7
-        for metric in (CostMetric.EUCLIDEAN, CostMetric.L1):
-            base = ot_divergence(PointSet(a_rows), PointSet(b_rows), metric, metric)
-            scaled = ot_divergence(PointSet(s * a_rows), PointSet(s * b_rows), metric, metric)
-            assert scaled == pytest.approx(s * base, rel=1e-9)
+        base = ot_divergence(PointSet(a_rows), PointSet(b_rows))
+        scaled = ot_divergence(PointSet(s * a_rows), PointSet(s * b_rows))
+        assert scaled == pytest.approx(s * base, rel=1e-9)
         # assignment choice under squared cost is unchanged by scaling
-        perm1 = solve_assignment(
-            pairwise_cost(PointSet(a_rows), PointSet(b_rows), CostMetric.SQUARED_EUCLIDEAN)
-        ).perm
-        perm2 = solve_assignment(
-            pairwise_cost(PointSet(s * a_rows), PointSet(s * b_rows), CostMetric.SQUARED_EUCLIDEAN)
-        ).perm
+        perm1 = solve_assignment(pairwise_cost(PointSet(a_rows), PointSet(b_rows))).perm
+        perm2 = solve_assignment(pairwise_cost(PointSet(s * a_rows), PointSet(s * b_rows))).perm
         assert perm1.tolist() == perm2.tolist()
 
     def test_small_perturbation_bound(self):
@@ -302,12 +281,24 @@ class TestOtDivergence:
         b = PointSet(a_rows[rng.permutation(50)] + noise)
         assert ot_divergence(PointSet(a_rows), b) <= eps + 1e-12
 
-    def test_symmetry_when_metrics_match(self):
+    def test_symmetry(self):
         rng = np.random.default_rng(13)
         a = PointSet(rng.normal(size=(25, 3)))
         b = PointSet(rng.normal(size=(25, 3)))
-        m = CostMetric.SQUARED_EUCLIDEAN
-        assert ot_divergence(a, b, m, m) == pytest.approx(ot_divergence(b, a, m, m), rel=1e-12)
+        assert ot_divergence(a, b) == pytest.approx(ot_divergence(b, a), rel=1e-12)
+
+    def test_assigns_squared_euclidean_reports_euclidean(self):
+        # Two draws in, the squared-Euclidean and Euclidean optima differ, so
+        # changing either half of the cost pair changes the value.
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            a, b = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+        _, cols = linear_sum_assignment(cdist(a, b, "sqeuclidean"))
+        _, euclid_cols = linear_sum_assignment(cdist(a, b, "euclidean"))
+        assert cols.tolist() != euclid_cols.tolist()
+        expected = np.linalg.norm(a - b[cols], axis=1).mean()
+        assert ot_divergence(PointSet(a), PointSet(b)) == expected
+        assert expected != np.linalg.norm(a - b[euclid_cols], axis=1).mean()
 
 
 class TestAssignment:
@@ -339,11 +330,11 @@ class TestAssignmentCostGradient:
         k, d = 5, 3
         a_rows = rng.normal(size=(k, d))
         b = PointSet(rng.normal(size=(k, d)))
-        sigma = solve_assignment(pairwise_cost(PointSet(a_rows), b, CostMetric.SQUARED_EUCLIDEAN))
+        sigma = solve_assignment(pairwise_cost(PointSet(a_rows), b))
 
         def frozen_objective(flat: np.ndarray) -> float:
-            pts = PointSet(flat.reshape(k, d))
-            return float(matched_distances(pts, b, sigma, CostMetric.SQUARED_EUCLIDEAN).mean())
+            diff = flat.reshape(k, d) - b.data[sigma.perm]
+            return float(np.einsum("ij,ij->i", diff, diff).mean())
 
         _, grad, _ = _squared_cost_and_grad(a_rows, b.data[sigma.perm])
         h = 1e-6
