@@ -307,9 +307,9 @@ def save_points_csv(path: str | Path, points: PointSet, labels: np.ndarray | Non
 def load_points_csv(path: str | Path) -> tuple[PointSet, np.ndarray | None]:
     """Read a CSV written by :func:`save_points_csv` (label column optional).
 
-    A row with the wrong column count, a non-numeric or non-finite
-    coordinate, or a label that is not an int64 integer raises
-    :class:`SpecError` naming ``path:line``.
+    A header without a coordinate column, a row with the wrong column
+    count, a non-numeric or non-finite coordinate, or a label that is not
+    an int64 integer raises :class:`SpecError` naming ``path:line``.
     """
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -319,6 +319,8 @@ def load_points_csv(path: str | Path) -> tuple[PointSet, np.ndarray | None]:
             raise TruncatedFile(f"{path}: empty CSV") from None
         has_label = header and header[-1].strip().lower() == "label"
         ncols = len(header) - (1 if has_label else 0)
+        if ncols < 1:
+            raise SpecError(f"{path}:1: header {header} names no coordinate column")
         rows, labels = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from math import prod
 from pathlib import Path
@@ -122,8 +122,11 @@ class Mlp:
 
     layers: list[Layer]
     params: np.ndarray = field(init=False, repr=False, compare=False)
+    # init_mlp draws straight into a packed vector; when the layers' arrays
+    # are that vector's views, it becomes ``params`` without another copy.
+    _packed: InitVar[ParamGrads | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _packed: ParamGrads | None = None) -> None:
         if not self.layers:
             raise SpecError("a network needs at least one layer")
         for prev, cur in zip(self.layers, self.layers[1:]):
@@ -141,9 +144,12 @@ class Mlp:
                     f"layer {i} arrays have shapes {l.weight.shape}, {l.bias.shape} "
                     f"for a {l.spec.in_dim} -> {l.spec.out_dim} layer"
                 )
-        packed = ParamGrads.packed([(l.weight, l.bias) for l in self.layers], dtype)
-        self.params = packed.flat
-        for layer, (w, b) in zip(self.layers, packed):
+        pairs = [(l.weight, l.bias) for l in self.layers]
+        ids = lambda arrays: [(id(w), id(b)) for w, b in arrays]
+        if _packed is None or ids(_packed) != ids(pairs):
+            _packed = ParamGrads.packed(pairs, dtype)
+        self.params = _packed.flat
+        for layer, (w, b) in zip(self.layers, _packed):
             layer.weight, layer.bias = w, b
 
     # A copy or an unpickled net gets its own flat vector: the layers' arrays
@@ -183,13 +189,13 @@ def init_mlp(specs: list[LayerSpec], seed: int, dtype: type = np.float32) -> Mlp
     for the LeakyReLU stacks used here).  Deterministic per seed.
     """
     rng = np.random.default_rng(seed)
-    layers = []
-    for spec in specs:
+    shapes = [((spec.out_dim, spec.in_dim), (spec.out_dim,)) for spec in specs]
+    packed = ParamGrads(np.zeros(sum(prod(w) + prod(b) for w, b in shapes), dtype=dtype), shapes)
+    for spec, (w, _) in zip(specs, packed):
         bound = np.sqrt(6.0 / spec.in_dim)
-        w = rng.uniform(-bound, bound, size=(spec.out_dim, spec.in_dim)).astype(dtype)
-        b = np.zeros(spec.out_dim, dtype=dtype)
-        layers.append(Layer(weight=w, bias=b, spec=spec))
-    return Mlp(layers=layers)
+        # The float64 draw is cast once, straight into the packed vector.
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return Mlp([Layer(weight=w, bias=b, spec=spec) for spec, (w, b) in zip(specs, packed)], packed)
 
 
 # Both activations are computed without np.where or masked copies: with a

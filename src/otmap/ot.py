@@ -14,19 +14,25 @@ augmenting path method of the Jonker-Volgenant family).  The result is exact
 and deterministic per input: a minimum-total-cost permutation, the same one
 every time for the same cost matrix.  All solver arithmetic is 64-bit.
 
-For k <= ``WARM_START_MAX_K`` the solver is warm-started.  Subtracting row
-and column potentials ``f_i + g_j`` from the costs shifts every
-permutation's total by the same constant, so the optimum is unchanged; with
-entropic (Sinkhorn) potentials (Cuturi 2013) the reduced matrix leaves the
-augmenting paths little to do.  The warm start costs one extra k x k float64
-array, which is why it stops at k = 1024.  On negative costs, or where
-rounding in the reduced costs could hide the optimum, the raw matrix is
-solved instead (see :func:`solve_assignment`).
+Every solve is warm-started.  Subtracting row and column potentials
+``f_i + g_j`` from the costs shifts every permutation's total by the same
+constant, so the optimum is unchanged; with entropic (Sinkhorn) potentials
+(Cuturi 2013) the reduced matrix leaves the augmenting paths little to do.
+The potentials are refined in one k x k scratch buffer.  Up to
+``PRIVATE_COPY_MAX_K`` that buffer is a private copy of the costs.  Above
+it, a matrix from :func:`pairwise_cost` lends its own buffer: each stage
+rebuilds the costs from the two point sets, and the raw matrix is rebuilt
+in place before the solve returns, so no second k x k array is held.  A
+hand-built :class:`CostMatrix` has no points to rebuild from and is always
+warm-started on a copy.  On negative costs, or where rounding in the
+reduced costs could hide the optimum, the raw matrix is solved instead
+(see :func:`solve_assignment`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -36,11 +42,12 @@ from .errors import InvalidCost, PoolTooLarge, SizeMismatch
 
 # Dense k x k matrices only; above this the cost matrix alone is > 2 GiB.
 MAX_DENSE_K = 16384
-# The warm start hands the solver a second k x k float64 array (the reduced
-# costs; scipy's solver takes no duals), 8 MiB at k = 1024.  That stays below
-# the 32 MB matrix of a 2000-point divergence, so peak memory does not grow;
-# applied to that solve it would add another 32 MB.
-WARM_START_MAX_K = 1024
+# The largest k whose warm start works on a private copy of the costs (8 MiB
+# at k = 1024).  Above it a matrix from pairwise_cost lends its own buffer and
+# gets its costs rebuilt by cdist, which saves a second k x k array; at small
+# k the copy is faster than the rebuilds (measured: lending at every k made
+# the k = 256 solve 10% and the k = 128, d = 8 solve 21% slower).
+PRIVATE_COPY_MAX_K = 1024
 # |f|_1 + |g|_1 may be at most this multiple of the matched total; then the
 # rounding of C - f - g keeps the warm total within 5e-13 of the optimum,
 # relative.
@@ -82,9 +89,19 @@ class PointSet:
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Dense k x k matrix of pairwise costs (squared Euclidean from :func:`pairwise_cost`)."""
+    """Dense k x k matrix of pairwise costs (squared Euclidean from :func:`pairwise_cost`).
+
+    A matrix from :func:`pairwise_cost` has read-only ``values`` and keeps
+    its two point sets privately, so that :func:`solve_assignment` can
+    borrow the buffer above ``PRIVATE_COPY_MAX_K`` and rebuild it from the
+    points afterwards.  Above that limit such a matrix holds reduced costs
+    while it is being solved: do not read it from another thread then, nor
+    solve it from two threads at once.  A hand-built matrix is never
+    written to.
+    """
 
     values: np.ndarray
+    _points: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -133,51 +150,57 @@ def pairwise_cost(a: PointSet, b: PointSet) -> CostMatrix:
     _check_same_shape(a, b)
     if a.k > MAX_DENSE_K:
         raise PoolTooLarge(f"k={a.k} exceeds the dense cost-matrix limit of {MAX_DENSE_K}")
-    return CostMatrix(values=cdist(a.data, b.data, "sqeuclidean"))
+    costs = CostMatrix(values=cdist(a.data, b.data, "sqeuclidean"))
+    costs.values.setflags(write=False)
+    object.__setattr__(costs, "_points", (a.data, b.data))
+    return costs
 
 
-def _reduced_costs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Reduced costs ``C - f_i - g_j`` from Sinkhorn potentials, with f and g.
+def _warm_start(
+    buf: np.ndarray, rebuild: Callable[[np.ndarray, np.ndarray], None]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Sinkhorn potentials f, g for the costs C in ``buf``, leaving ``C - f_i - g_j`` there.
 
-    Returns None where the raw matrix is solved instead: k = 0, k above
-    ``WARM_START_MAX_K``, or a negative cost.  Starts from the row and
-    column minimum reduction and refines it with three Sinkhorn stages at
-    epsilon = 0.2, 0.05 and 0.01 times the mean reduced cost, 5 sweeps
-    each.  A stage whose potentials come out non-finite (a zero or
-    overflowing mean, an underflowing kernel) is dropped, and so are the
-    later ones.  One k x k work array holds each stage's kernel and then
-    the result.
+    ``rebuild(out, f)`` must write ``C - f_i`` into ``out``.  Returns None,
+    with ``buf`` untouched, where the raw matrix is solved instead: k = 0
+    or a negative cost.  Starts from the row and column minimum reduction
+    and refines it with three Sinkhorn stages at epsilon = 0.2, 0.05 and
+    0.01 times the mean reduced cost, 5 sweeps each.  A stage whose
+    potentials come out non-finite (a zero or overflowing mean, an
+    underflowing kernel) is dropped, and so are the later ones.  ``buf``
+    holds each stage's kernel in turn; no other k x k array is made.
     """
-    k = values.shape[0]
-    if k == 0 or k > WARM_START_MAX_K:
+    k = buf.shape[0]
+    if k == 0:
         return None
-    f = values.min(axis=1)
+    f = buf.min(axis=1)
     if f.min() < 0:
         return None
-    work = values - f[:, None]
-    g = work.min(axis=0)
-    work -= g
+    buf -= f[:, None]
+    g = buf.min(axis=0)
+    buf -= g
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        scale = work.mean()
+        scale = buf.mean()
         for frac in (0.2, 0.05, 0.01):
             eps = frac * scale
             # Stabilised kernel exp(-(C - f - g) / eps), rebuilt in place.
-            np.subtract(values, f[:, None], out=work)
-            work -= g
-            work *= -1.0 / eps
-            np.exp(work, out=work)
+            rebuild(buf, f)
+            buf -= g
+            buf *= -1.0 / eps
+            np.exp(buf, out=buf)
             v = np.ones(k)
             for _ in range(5):
-                u = 1.0 / (work @ v)
-                v = 1.0 / (u @ work)
-            f_next = f + eps * np.log(u)
-            g_next = g + eps * np.log(v)
+                u = 1.0 / (buf @ v)
+                v = 1.0 / (u @ buf)
+            # Written over u and v, so only f and g outlive the stage.
+            f_next = np.add(f, eps * np.log(u), out=u)
+            g_next = np.add(g, eps * np.log(v), out=v)
             if not (np.isfinite(f_next).all() and np.isfinite(g_next).all()):
                 break
             f, g = f_next, g_next
-    np.subtract(values, f[:, None], out=work)
-    work -= g
-    return work, f, g
+    rebuild(buf, f)
+    buf -= g
+    return f, g
 
 
 def solve_assignment(costs: CostMatrix) -> Assignment:
@@ -187,6 +210,12 @@ def solve_assignment(costs: CostMatrix) -> Assignment:
     or empty input raises :class:`SizeMismatch`; NaN or infinite entries
     raise :class:`InvalidCost`.
     ``total_cost`` always sums the given costs over the returned permutation.
+
+    The warm start needs one k x k scratch buffer.  For a matrix from
+    :func:`pairwise_cost` with k above ``PRIVATE_COPY_MAX_K`` that is
+    ``costs.values`` itself: it holds reduced costs during the solve and is
+    rebuilt from the points, bit for bit, before this returns or raises.
+    Any other matrix is warm-started on a private copy.
     """
     values = np.asarray(costs.values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
@@ -194,12 +223,39 @@ def solve_assignment(costs: CostMatrix) -> Assignment:
     # min and max propagate NaN, so two reductions stand in for a k x k mask.
     if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise InvalidCost("cost matrix contains NaN or infinite entries")
+    points = costs._points
+    # An unpickled matrix does not own its buffer, which then cannot be made
+    # writable; it is warm-started on a copy like a hand-built one.
+    lend = points is not None and values.shape[0] > PRIVATE_COPY_MAX_K and values.flags.owndata
+    if lend:
+        # The buffer is lent through a writable view: ``values`` keeps its
+        # flags for every other reader, and scipy takes the view without the
+        # copy it makes of a read-only array.
+        writeable = values.flags.writeable
+        values.setflags(write=True)
+        buf = values.view()
+        values.setflags(write=writeable)
+
+        def rebuild(out: np.ndarray, f: np.ndarray) -> None:
+            cdist(*points, "sqeuclidean", out=out)
+            out -= f[:, None]
+
+    else:
+        buf = values.copy()
+
+        def rebuild(out: np.ndarray, f: np.ndarray) -> None:
+            np.subtract(values, f[:, None], out=out)
+
     rows = None
-    warm = _reduced_costs(values)
+    try:
+        warm = _warm_start(buf, rebuild)
+        if warm is not None:
+            rows, cols = linear_sum_assignment(buf)
+    finally:
+        if lend:
+            cdist(*points, "sqeuclidean", out=buf)
     if warm is not None:
-        reduced, f, g = warm
-        rows, cols = linear_sum_assignment(reduced)
-        del warm, reduced
+        f, g = warm
         # Each reduced entry is off by at most about u(|C| + |f_i| + |g_j|)
         # (u the unit roundoff), so on non-negative costs the warm total is
         # within about 4u(total + |f|_1 + |g|_1) of the optimum.  Potentials
@@ -208,7 +264,10 @@ def solve_assignment(costs: CostMatrix) -> Assignment:
         if (np.abs(f).sum() + np.abs(g).sum()) / _MAX_POTENTIAL_RATIO > values[rows, cols].sum():
             rows = None
     if rows is None:
-        rows, cols = linear_sum_assignment(values)
+        # Cold, on the raw costs in buf (a lent buffer holds them again).
+        if not lend:
+            np.copyto(buf, values)
+        rows, cols = linear_sum_assignment(buf)
     # linear_sum_assignment returns rows in sorted order, so cols is the permutation.
     perm = cols.astype(np.int64)
     perm.setflags(write=False)

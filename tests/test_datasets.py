@@ -219,3 +219,10 @@ class TestPointsCsv:
         path.write_text(body)
         with pytest.raises(SpecError, match=f"{path.name}:{line}:"):
             load_points_csv(path)
+
+    @pytest.mark.parametrize("header", ["label", ""], ids=["label-only", "blank"])
+    def test_header_without_coordinates(self, tmp_path, header):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"{header}\n1\n2\n")
+        with pytest.raises(SpecError, match=f"{path.name}:1:.*no coordinate column"):
+            load_points_csv(path)

@@ -147,6 +147,18 @@ class TestInit:
         bound = np.sqrt(6.0 / 6)
         assert np.abs(net.layers[0].weight).max() <= bound
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weights_are_the_cast_float64_draws(self, dtype):
+        specs = [LayerSpec(2, 16), LayerSpec(16, 8), LayerSpec(8, 2, Activation.IDENTITY)]
+        net = init_mlp(specs, seed=3, dtype=dtype)
+        rng = np.random.default_rng(3)
+        for spec, layer in zip(specs, net.layers):
+            bound = np.sqrt(6.0 / spec.in_dim)
+            expected = rng.uniform(-bound, bound, size=(spec.out_dim, spec.in_dim)).astype(dtype)
+            assert layer.weight.dtype == dtype
+            assert layer.weight.tobytes() == expected.tobytes()
+            assert np.shares_memory(layer.weight, net.params)
+
 
 class TestFlatStorage:
     def test_layers_are_views_into_params(self):

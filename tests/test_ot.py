@@ -1,6 +1,7 @@
 """Cost matrices, the exact assignment solver, and the divergence metric."""
 
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -13,12 +14,14 @@ from scipy.spatial.distance import cdist
 from otmap.datasets import SyntheticKind, SyntheticSpec, make_moons
 from otmap.errors import InvalidCost, PoolTooLarge, SizeMismatch
 from otmap.mappers import _squared_cost_and_grad
+import otmap.ot
 from otmap.ot import (
-    WARM_START_MAX_K,
+    PRIVATE_COPY_MAX_K,
     Assignment,
     CostMatrix,
     PointSet,
-    _reduced_costs,
+    _warm_start,
+    matched_distances,
     ot_divergence,
     pairwise_cost,
     solve_assignment,
@@ -78,6 +81,11 @@ class TestPairwiseCost:
         manual = ((a.data[:, None, :] - b.data[None, :, :]) ** 2).sum(axis=2)
         np.testing.assert_allclose(c.values, manual, rtol=1e-12, atol=1e-12)
 
+    def test_values_are_read_only(self):
+        c = pairwise_cost(PointSet([[0.0, 0.0]]), PointSet([[3.0, 4.0]]))
+        with pytest.raises(ValueError):
+            c.values[0, 0] = 0.0
+
 
 class TestSolveAssignment:
     def test_zero_diagonal(self):
@@ -131,16 +139,32 @@ class TestSolveAssignment:
         assert sol.total_cost == pytest.approx(brute_force_min_cost(values), abs=1e-12)
 
 
-def noise_to_moons(k: int, seed: int) -> np.ndarray:
-    """Squared costs from uniform noise to moons: the geometry training starts from."""
+def noise_to_moons_points(k: int, seed: int) -> tuple[PointSet, PointSet]:
+    """Uniform noise and moons: the geometry training starts from."""
     noise = PointSet(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(k, 2)))
-    moons = make_moons(SyntheticSpec(SyntheticKind.MOONS, k, seed=seed + 1))
-    return pairwise_cost(noise, moons).values
+    return noise, make_moons(SyntheticSpec(SyntheticKind.MOONS, k, seed=seed + 1))
 
 
-def assert_matches_reference(values: np.ndarray) -> None:
-    """solve_assignment returns a permutation with the cold solver's optimal total."""
-    sol = solve_assignment(CostMatrix(values))
+def noise_to_moons(k: int, seed: int) -> np.ndarray:
+    """Squared costs from uniform noise to moons."""
+    return pairwise_cost(*noise_to_moons_points(k, seed)).values
+
+
+def warm_start_copy(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``_warm_start`` on a copy of ``values``: reduced costs, f and g, or None."""
+    buf = values.copy()
+    warm = _warm_start(buf, lambda out, f: np.subtract(values, f[:, None], out=out))
+    return None if warm is None else (buf, *warm)
+
+
+def assert_matches_reference(values: np.ndarray | CostMatrix) -> None:
+    """solve_assignment returns a permutation with the cold solver's optimal total.
+
+    Raw costs are solved as a hand-built matrix, a CostMatrix as it is.
+    """
+    costs = values if isinstance(values, CostMatrix) else CostMatrix(values)
+    sol = solve_assignment(costs)
+    values = costs.values
     rows, cols = linear_sum_assignment(values)
     assert sorted(sol.perm.tolist()) == list(range(values.shape[0]))
     assert sol.total_cost == pytest.approx(float(values[rows, cols].sum()), rel=1e-12)
@@ -186,20 +210,21 @@ class TestWarmStart:
         assert_matches_reference(np.array([[2.5]]))
 
     def test_empty_matrix(self):
-        assert _reduced_costs(np.zeros((0, 0))) is None
+        assert warm_start_copy(np.zeros((0, 0))) is None
         with pytest.raises(SizeMismatch):
             solve_assignment(CostMatrix(np.zeros((0, 0))))
 
     def test_negative_costs_solve_cold(self):
         values = noise_to_moons(100, 13) - 1.0
-        assert _reduced_costs(values) is None
+        buf = values.copy()
+        assert _warm_start(buf, lambda out, f: pytest.fail("rebuilt")) is None
+        np.testing.assert_array_equal(buf, values)
         assert_matches_reference(values)
 
-    @pytest.mark.parametrize("k", [WARM_START_MAX_K, WARM_START_MAX_K + 1])
+    @pytest.mark.parametrize("k", [PRIVATE_COPY_MAX_K, PRIVATE_COPY_MAX_K + 1, 2000])
     def test_size_limit(self, k):
-        values = noise_to_moons(k, 8)
-        assert (_reduced_costs(values) is not None) == (k <= WARM_START_MAX_K)
-        assert_matches_reference(values)
+        # Either side of the private-copy limit, and the divergence's size.
+        assert_matches_reference(pairwise_cost(*noise_to_moons_points(k, 8)))
 
     def test_costs_spanning_300_decades(self):
         # Potentials sized by the 1e300 entries would round the O(1) costs
@@ -207,7 +232,7 @@ class TestWarmStart:
         rng = np.random.default_rng(9)
         values = rng.random((40, 40))
         values[rng.random((40, 40)) < 0.4] = 1e300
-        assert _reduced_costs(values) is not None
+        assert warm_start_copy(values) is not None
         assert_matches_reference(values)
         assert solve_assignment(CostMatrix(values)).total_cost < 40.0
 
@@ -216,25 +241,26 @@ class TestWarmStart:
         # non-finite and the min-reduction potentials are kept.
         rng = np.random.default_rng(10)
         values = 1e307 * (1.0 + rng.random((8, 8)))
-        reduced, f, g = _reduced_costs(values)
+        reduced, f, g = warm_start_copy(values)
         assert np.isfinite(reduced).all()
         np.testing.assert_array_equal(f, values.min(axis=1))
         assert_matches_reference(values)
 
     def test_reduced_costs_plus_potentials_give_back_the_input(self):
         values = noise_to_moons(300, 11)
-        reduced, f, g = _reduced_costs(values)
+        reduced, f, g = warm_start_copy(values)
         np.testing.assert_allclose(
             reduced + f[:, None] + g[None, :], values, rtol=0, atol=1e-12 * values.max()
         )
 
     @pytest.mark.parametrize(
-        "k, limit", [(WARM_START_MAX_K, 1.1), (WARM_START_MAX_K + 1, 0.2), (WARM_START_MAX_K + 1, 0.01)]
+        "k, limit", [(PRIVATE_COPY_MAX_K, 1.1), (PRIVATE_COPY_MAX_K + 1, 0.01), (2000, 0.01)]
     )
     def test_peak_memory(self, k, limit):
-        # One extra k x k float64 array up to the limit, none above it; the
-        # cold solve's finiteness check adds no k x k bool mask (0.125) either.
-        costs = CostMatrix(noise_to_moons(k, 12))
+        # One extra k x k float64 array up to the limit, none above it, where
+        # the matrix lends its own buffer; the finiteness check adds no k x k
+        # bool mask (0.125) either.
+        costs = pairwise_cost(*noise_to_moons_points(k, 12))
         tracemalloc.start()
         try:
             solve_assignment(costs)
@@ -242,6 +268,60 @@ class TestWarmStart:
         finally:
             tracemalloc.stop()
         assert peak <= limit * 8 * k * k
+
+    def test_cold_fallback_holds_no_second_matrix(self):
+        # Identical sets: the optimal total is 0, so the rounding guard solves
+        # cold, on the lent buffer (scipy would copy a read-only matrix).
+        k = PRIVATE_COPY_MAX_K + 1
+        _, moons = noise_to_moons_points(k, 18)
+        costs = pairwise_cost(moons, moons)
+        tracemalloc.start()
+        try:
+            sol = solve_assignment(costs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.total_cost == 0.0
+        assert peak <= 0.01 * 8 * k * k
+
+    def test_hand_built_matrix_above_the_limit_is_left_alone(self):
+        values = noise_to_moons(PRIVATE_COPY_MAX_K + 1, 14)
+        values.setflags(write=True)
+        before = values.copy()
+        assert_matches_reference(values)
+        assert values.flags.writeable
+        np.testing.assert_array_equal(values, before)
+
+    @pytest.mark.parametrize("protocol", [4, 5])
+    def test_unpickled_matrix_above_the_limit(self, protocol):
+        # Its values do not own their buffer (under protocol 5 it cannot be
+        # made writable), so it is solved on a copy.
+        costs = pairwise_cost(*noise_to_moons_points(PRIVATE_COPY_MAX_K + 1, 17))
+        costs = pickle.loads(pickle.dumps(costs, protocol=protocol))
+        before = costs.values.tobytes()
+        assert_matches_reference(costs)
+        assert costs.values.tobytes() == before
+
+    @pytest.mark.parametrize("k", [1, PRIVATE_COPY_MAX_K, PRIVATE_COPY_MAX_K + 1])
+    def test_values_unchanged_by_the_solve(self, k):
+        costs = pairwise_cost(*noise_to_moons_points(k, 15))
+        before = costs.values.tobytes()
+        solve_assignment(costs)
+        assert costs.values.tobytes() == before
+        assert not costs.values.flags.writeable
+
+    @pytest.mark.parametrize("k", [1, PRIVATE_COPY_MAX_K, PRIVATE_COPY_MAX_K + 1])
+    def test_values_restored_when_the_solver_raises(self, k, monkeypatch):
+        def broken(values):
+            raise RuntimeError("solver failed")
+
+        costs = pairwise_cost(*noise_to_moons_points(k, 16))
+        before = costs.values.tobytes()
+        monkeypatch.setattr(otmap.ot, "linear_sum_assignment", broken)
+        with pytest.raises(RuntimeError, match="solver failed"):
+            solve_assignment(costs)
+        assert costs.values.tobytes() == before
+        assert not costs.values.flags.writeable
 
 
 class TestOtDivergence:
@@ -280,6 +360,14 @@ class TestOtDivergence:
         noise *= eps / np.maximum(np.linalg.norm(noise, axis=1, keepdims=True), 1e-12)
         b = PointSet(a_rows[rng.permutation(50)] + noise)
         assert ot_divergence(PointSet(a_rows), b) <= eps + 1e-12
+
+    def test_above_the_private_copy_limit_matches_cold_solve(self):
+        rng = np.random.default_rng(19)
+        k = PRIVATE_COPY_MAX_K + 1
+        a, b = PointSet(rng.normal(size=(k, 2))), PointSet(rng.normal(size=(k, 2)))
+        _, cols = linear_sum_assignment(cdist(a.data, b.data, "sqeuclidean"))
+        cold = Assignment(perm=cols, total_cost=0.0)
+        assert ot_divergence(a, b) == float(matched_distances(a, b, cold).mean())
 
     def test_symmetry(self):
         rng = np.random.default_rng(13)
