@@ -1,11 +1,14 @@
 """Synthetic 2D generators, IDX parsing, CSV round trips."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 from otmap.datasets import (
+    _GLYPH_FONT,
     IDX_IMAGE_MAGIC,
     IDX_LABEL_MAGIC,
     ImageBatch,
@@ -92,6 +95,21 @@ class TestCircles:
         with pytest.raises(InvalidCount):
             SyntheticSpec(SyntheticKind.CIRCLES, n=0)
 
+    @pytest.mark.parametrize("n", [2.5, "4", None])
+    def test_non_integer_count_rejected(self, n):
+        with pytest.raises(InvalidCount):
+            SyntheticSpec(SyntheticKind.MOONS, n=n)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(SpecError):
+            SyntheticSpec(SyntheticKind.MOONS, n=4, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        spec = SyntheticSpec(SyntheticKind.MOONS, n=np.int32(6), seed=np.uint32(2))
+        plain = SyntheticSpec(SyntheticKind.MOONS, n=6, seed=2)
+        assert np.array_equal(make_moons(spec).data, make_moons(plain).data)
+
 
 def write_idx_fixture(tmp_path, pixels: np.ndarray, labels=None, truncate=0, magic=None):
     """Hand-assembled IDX bytes: n x h x w uint8 pixels."""
@@ -146,6 +164,25 @@ class TestLoadIdx:
         assert np.abs(back.pixels - batch.pixels).max() <= 0.5 / 255.0 + 1e-7
 
 
+def glyphs_per_image(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference corpus: one ``np.kron`` and one ``gaussian_filter`` per image."""
+    rng = np.random.default_rng(seed)
+    digits = rng.integers(0, 10, size=n)
+    zooms = rng.integers(3, 6, size=n)
+    intensities = rng.uniform(0.7, 1.0, size=n)
+    blurs = rng.uniform(0.4, 1.0, size=n)
+    out = np.zeros((n, 28, 28), dtype=np.float32)
+    for i in range(n):
+        bits = np.array([int(ch) for ch in _GLYPH_FONT[int(digits[i])]], dtype=np.float32)
+        glyph = np.kron(bits.reshape(5, 3), np.ones((zooms[i], zooms[i]), dtype=np.float32))
+        gh, gw = glyph.shape
+        top = rng.integers(1, 28 - gh)
+        left = rng.integers(1, 28 - gw)
+        out[i, top : top + gh, left : left + gw] = glyph * intensities[i]
+        out[i] = gaussian_filter(out[i], sigma=blurs[i])
+    return np.clip(out.reshape(n, 28 * 28), 0.0, 1.0), digits.astype(np.uint8)
+
+
 class TestGlyphs:
     def test_shapes_and_range(self):
         batch = make_glyphs(30, seed=1)
@@ -161,15 +198,72 @@ class TestGlyphs:
         batch = make_glyphs(10, seed=3)
         assert (batch.pixels.max(axis=1) > 0.3).all()  # every glyph visible
 
+    # n = 600 and 2000 put more than one batch of 256 in at least one blur
+    # radius; every n >= 600 here draws all three radii (2, 3 and 4).
+    @pytest.mark.parametrize("n", [1, 7, 600, 2000])
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1])
+    def test_bit_equal_to_per_image_construction(self, n, seed):
+        pixels, labels = glyphs_per_image(n, seed)
+        batch = make_glyphs(n, seed)
+        assert batch.pixels.dtype == np.float32 and batch.labels.dtype == np.uint8
+        assert np.array_equal(batch.pixels.view(np.uint32), pixels.view(np.uint32))
+        assert np.array_equal(batch.labels, labels)
+
+    def test_peak_memory_within_twice_the_output(self):
+        make_glyphs(8, seed=0)  # first call pays one-off imports
+        tracemalloc.start()
+        try:
+            batch = make_glyphs(4000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * batch.pixels.nbytes
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, "5", None])
+    def test_bad_count_rejected(self, n):
+        with pytest.raises(InvalidCount):
+            make_glyphs(n)
+
+    @pytest.mark.parametrize("seed", [-1, 0.5, None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(SpecError):
+            make_glyphs(5, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        a, b = make_glyphs(np.int64(5), seed=np.uint32(9)), make_glyphs(5, seed=9)
+        assert np.array_equal(a.pixels, b.pixels) and np.array_equal(a.labels, b.labels)
+
 
 class TestImageBatch:
     def test_rejects_out_of_range(self):
         with pytest.raises(SpecError):
             ImageBatch(pixels=np.full((1, 4), 1.5), h=2, w=2, c=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(SpecError):
+            ImageBatch(pixels=[[bad, 0.5, 0.1, 0.2]], h=2, w=2, c=1)
+
     def test_rejects_inconsistent_shape(self):
         with pytest.raises(SpecError):
             ImageBatch(pixels=np.zeros((1, 5)), h=2, w=2, c=1)
+
+    @pytest.mark.parametrize("hwc", [(-2, -2, 1), (2, 2, 0), (0, 4, 1), (4, 1, -1)])
+    def test_rejects_dimensions_below_one(self, hwc):
+        h, w, c = hwc
+        with pytest.raises(SpecError):
+            ImageBatch(pixels=np.zeros((1, abs(h * w * c))), h=h, w=w, c=c)
+
+    @pytest.mark.parametrize(
+        "labels", [np.zeros((2, 1), dtype=np.int64), np.array([0.0, 1.0]), np.array([True, False])]
+    )
+    def test_rejects_labels_not_1d_integer(self, labels):
+        with pytest.raises(SpecError):
+            ImageBatch(pixels=np.zeros((2, 4)), h=2, w=2, c=1, labels=labels)
+
+    def test_label_list_becomes_array(self):
+        batch = ImageBatch(pixels=np.zeros((2, 4)), h=2, w=2, c=1, labels=[3, 4])
+        assert isinstance(batch.labels, np.ndarray) and batch.labels.tolist() == [3, 4]
 
 
 class TestPointsCsv:
