@@ -5,6 +5,10 @@ decoder reconstructs them through a sigmoid output, and training minimizes
 plain mean squared reconstruction error.  No latent regularization of any
 kind: the latent distribution keeps whatever shape the data gives it, which
 is exactly what the mapping network is later trained to hit.
+
+Training runs the mappers' step (``mappers._fit``) on the encoder and
+decoder joined into one network whose targets are its own inputs, then
+splits the trained network back into the two halves.
 """
 
 from __future__ import annotations
@@ -15,17 +19,11 @@ import numpy as np
 
 from .datasets import ImageBatch
 from .errors import SizeMismatch, SpecError
-from .mappers import TrainConfig, _epoch_indices
-from .nn import (
-    Activation,
-    LayerSpec,
-    Mlp,
-    _backward_from_cache,
-    _forward_cached,
-    adam_step,
-    init_adam,
-    init_mlp,
-)
+from .mappers import TrainConfig, _fit, _frozen_pairs
+from .nn import Activation, LayerSpec, Mlp, _forward_cached, init_mlp
+
+# Not called here: benchmarks/tracing.py wraps both names in this module and fails without them.
+from .nn import _backward_from_cache, adam_step  # noqa: F401
 from .ot import PointSet
 
 
@@ -74,7 +72,8 @@ def train_autoencoder(images: ImageBatch, spec: AutoencoderSpec, cfg: TrainConfi
     """Minimize mean squared reconstruction error with Adam minibatches.
 
     Batches sweep the image set without replacement, reshuffling each
-    epoch.  Deterministic per cfg.seed.
+    epoch.  Deterministic per cfg.seed.  A non-finite gradient raises
+    :class:`NonFiniteGradient` before either half's parameters change.
     """
     if images.n < 1:
         raise SpecError("cannot train on an empty image batch")
@@ -84,26 +83,15 @@ def train_autoencoder(images: ImageBatch, spec: AutoencoderSpec, cfg: TrainConfi
         )
     enc_specs, dec_specs = autoencoder_layer_specs(spec)
     init_seq = np.random.SeedSequence(cfg.seed).spawn(3)
-    encoder = init_mlp(enc_specs, seed=int(init_seq[0].generate_state(1)[0]))
-    decoder = init_mlp(dec_specs, seed=int(init_seq[1].generate_state(1)[0]))
+    enc_seed, dec_seed = (int(s.generate_state(1)[0]) for s in init_seq[:2])
     batch_rng = np.random.Generator(np.random.PCG64(init_seq[2]))
-
-    adam_enc = init_adam(encoder)
-    adam_dec = init_adam(decoder)
-    batches = _epoch_indices(images.n, min(cfg.batch_k, images.n), batch_rng)
-    losses = np.empty(cfg.steps)
-    for step, idx in zip(range(cfg.steps), batches):
-        x = images.pixels[idx]
-        latent, enc_cache = _forward_cached(encoder, x)
-        recon, dec_cache = _forward_cached(decoder, latent)
-        diff = recon.astype(np.float64) - x
-        losses[step] = float(np.einsum("ij,ij->", diff, diff) / diff.size)
-        out_grad = (2.0 / diff.size) * diff
-        dec_grads, latent_grad = _backward_from_cache(decoder, dec_cache, out_grad)
-        enc_grads, _ = _backward_from_cache(encoder, enc_cache, latent_grad, input_grad=False)
-        adam_step(decoder, dec_grads, adam_dec, cfg.lr)
-        adam_step(encoder, enc_grads, adam_enc, cfg.lr)
-    return AutoencoderResult(encoder=encoder, decoder=decoder, losses=losses)
+    # Joining copies both halves into one parameter vector; theirs are freed here.
+    net = Mlp(init_mlp(enc_specs, seed=enc_seed).layers + init_mlp(dec_specs, seed=dec_seed).layers)
+    batch_k = min(cfg.batch_k, images.n)
+    batches = _frozen_pairs(images.pixels, images.pixels, batch_k, batch_rng)
+    result = _fit(net, cfg, batches, batch_k * spec.input_dim)
+    n_enc = len(enc_specs)
+    return AutoencoderResult(Mlp(net.layers[:n_enc]), Mlp(net.layers[n_enc:]), result.losses)
 
 
 def encode(encoder: Mlp, images: ImageBatch, chunk: int = 4096) -> PointSet:

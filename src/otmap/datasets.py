@@ -86,12 +86,12 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         _count(self.n, "points")
         _seed(self.seed)
-        if self.noise_sd < 0:
-            raise SpecError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        if not 0.0 <= self.noise_sd < math.inf:
+            raise SpecError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         if not (0.0 < self.factor < 1.0):
             raise SpecError(f"circles factor must lie in (0, 1), got {self.factor}")
-        if self.scale is not None and self.scale <= 0:
-            raise SpecError(f"scale must be positive, got {self.scale}")
+        if self.scale is not None and not 0.0 < self.scale < math.inf:
+            raise SpecError(f"scale must be finite and positive, got {self.scale}")
 
     @property
     def resolved_scale(self) -> float:
@@ -258,16 +258,20 @@ def load_idx(path_images: str | Path, path_labels: str | Path | None = None) -> 
 def save_idx(
     path_images: str | Path, images: ImageBatch, path_labels: str | Path | None = None
 ) -> None:
-    """Write an ImageBatch back out in IDX3/IDX1 format (c must be 1)."""
+    """Write an ImageBatch back out in IDX3/IDX1 format (c must be 1, labels
+    in 0..255); every check runs before either file is opened."""
     if images.c != 1:
         raise SpecError("IDX3 stores single-channel images only")
+    if path_labels is not None:
+        if images.labels is None:
+            raise SpecError("no labels to write")
+        if images.labels.size and not 0 <= images.labels.min() <= images.labels.max() <= 255:
+            raise SpecError(f"IDX1 labels must lie in 0..255, got {images.labels.min()}..{images.labels.max()}")
     raw = np.clip(np.rint(images.pixels * 255.0), 0, 255).astype(np.uint8)
     with open(path_images, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, images.n, images.h, images.w))
         f.write(raw.tobytes())
     if path_labels is not None:
-        if images.labels is None:
-            raise SpecError("no labels to write")
         with open(path_labels, "wb") as f:
             f.write(struct.pack(">II", IDX_LABEL_MAGIC, images.n))
             f.write(np.asarray(images.labels, dtype=np.uint8).tobytes())

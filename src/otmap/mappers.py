@@ -13,9 +13,10 @@ point distribution, using exact assignments as the supervision signal:
 They differ only in where each step's pairs come from.  Both run the same
 step (``_fit``): forward the batch's noise, ask the batch's pairing for the
 matched targets (and any extra objective term), then squared cost, backward
-and one Adam update.  The assignment is always treated as a constant during
-backprop: it is piecewise constant in the network weights, so no gradient
-flows through the solver.
+and one Adam update.  The autoencoder (``autoenc.train_autoencoder``) is the
+third trainer on that step: its pairing returns the input images.  The
+assignment is always treated as a constant during backprop: it is piecewise
+constant in the network weights, so no gradient flows through the solver.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from scipy.spatial.distance import cdist
 from .errors import InvalidCost, InvalidCount, OtmapError, SizeMismatch, SpecError, TooFewPoints
 from .nn import (
     Mlp,
+    ParamGrads,
     _backward_from_cache,
     _forward_cached,
     adam_step,
@@ -206,6 +208,15 @@ def _epoch_indices(n: int, batch_k: int, rng: np.random.Generator) -> Iterator[n
             yield order[start : start + batch_k]
 
 
+def _frozen_pairs(
+    inputs: np.ndarray, targets: np.ndarray, batch_k: int, rng: np.random.Generator
+) -> Iterator[tuple[np.ndarray, Callable]]:
+    # _fit batches over fixed (input row, target row) pairs, drawn by _epoch_indices.
+    for idx in _epoch_indices(len(inputs), batch_k, rng):
+        y = targets[idx]
+        yield inputs[idx], lambda out: (y, None)
+
+
 def pool_sampler(
     pool: PointSet, batch_k: int, seed: int
 ) -> Callable[[], PointSet]:
@@ -218,33 +229,39 @@ def pool_sampler(
     return lambda: PointSet(pool.data[next(batches)])
 
 
-def _squared_cost_and_grad(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    # (1/k) sum_i ||pred_i - target_i||^2, its gradient wrt pred, and the
+def _squared_cost_and_grad(
+    pred: np.ndarray, target: np.ndarray, divisor: int
+) -> tuple[float, np.ndarray, np.ndarray]:
+    # sum_i ||pred_i - target_i||^2 / divisor, its gradient wrt pred, and the
     # float64 difference pred - target both are built from.
     diff = pred.astype(np.float64) - target
-    loss = float(np.einsum("ij,ij->", diff, diff) / len(diff))
-    return loss, (2.0 / len(diff)) * diff, diff
+    loss = float(np.einsum("ij,ij->", diff, diff) / divisor)
+    return loss, (2.0 / divisor) * diff, diff
 
 
-def _fit(net: Mlp, cfg: TrainConfig, batches: Iterator[tuple[np.ndarray, Callable]]) -> TrainResult:
-    """The training step both mappers share, run for ``cfg.steps`` batches.
+def _fit(net: Mlp, cfg: TrainConfig, batches: Iterator[tuple[np.ndarray, Callable]], divisor: int) -> TrainResult:
+    """The training step all three trainers share, run for ``cfg.steps`` batches.
 
     Each batch is (network input, pairing).  The pairing maps the forward
     output to its matched targets and an optional extra objective term
     (value, gradient wrt the output), already weighted; it is called once,
-    before the next batch is drawn.
+    before the next batch is drawn.  The squared cost is summed and divided
+    by ``divisor``: the batch's row count for the mappers (mean over pairs),
+    its entry count for the autoencoder (mean over pixels).
     """
     adam = init_adam(net)
+    # Reused every step: a fresh 4.3 MB autoencoder gradient came back from malloc as new pages.
+    grads = ParamGrads(np.empty_like(net.params), net.shapes)
     losses = np.empty(cfg.steps)
     dists = np.empty(cfg.steps)
     for step, (x, pair) in zip(range(cfg.steps), batches):
         out, cache = _forward_cached(net, x)
         y, extra = pair(out)
-        loss, out_grad, diff = _squared_cost_and_grad(out, y)
+        loss, out_grad, diff = _squared_cost_and_grad(out, y, divisor)
         if extra is not None:
             loss += extra[0]
             out_grad = out_grad + extra[1]
-        grads, _ = _backward_from_cache(net, cache, out_grad, input_grad=False)
+        _backward_from_cache(net, cache, out_grad, grads)
         adam_step(net, grads, adam, cfg.lr)
         losses[step] = loss
         dists[step] = float(np.linalg.norm(diff, axis=1).mean())
@@ -264,7 +281,7 @@ def train_ottrans(targets: PointSet, cfg: TrainConfig, net: Mlp) -> TrainResult:
 
     The pool is ``targets`` itself: a matching noise pool of the same size m
     is drawn once, one m x m assignment is solved, and the resulting pairs
-    stay frozen while the network trains on random minibatches of them.
+    stay frozen while the network trains on epoch-shuffled minibatches of them.
     """
     prior = _check_mapper(cfg, net)
     m = targets.k
@@ -277,15 +294,8 @@ def train_ottrans(targets: PointSet, cfg: TrainConfig, net: Mlp) -> TrainResult:
     noise = sample_prior(prior, m, prior_rng)  # PoolTooLarge surfaces in pairwise_cost
     sigma = solve_assignment(pairwise_cost(noise, targets))
     matched = targets.data[sigma.perm]
-    matched.setflags(write=False)
 
-    def frozen_pairs() -> Iterator[tuple[np.ndarray, Callable]]:
-        while True:
-            idx = batch_rng.choice(m, size=cfg.batch_k, replace=False)
-            y = matched[idx]
-            yield noise.data[idx], lambda out: (y, None)
-
-    return _fit(net, cfg, frozen_pairs())
+    return _fit(net, cfg, _frozen_pairs(noise.data, matched, cfg.batch_k, batch_rng), cfg.batch_k)
 
 
 def train_otgen(
@@ -322,7 +332,7 @@ def train_otgen(
 
             yield noise.data, pair
 
-    result = _fit(net, cfg, rematched())
+    result = _fit(net, cfg, rematched(), cfg.batch_k)
     result.traces = [
         FeedbackTrace(step, noise, preds, z, sigma, loss=float(result.losses[step]))
         for step, noise, preds, z, sigma in snapshots

@@ -263,28 +263,25 @@ def forward(net: Mlp, batch: PointSet) -> PointSet:
 
 
 def _backward_from_cache(
-    net: Mlp, cache: list[np.ndarray], output_grad: np.ndarray, input_grad: bool = True
-) -> tuple[ParamGrads, np.ndarray | None]:
+    net: Mlp, cache: list[np.ndarray], output_grad: np.ndarray, grads: ParamGrads
+) -> ParamGrads:
     """Backprop dL/d(output) through cached activations.
 
-    Returns the per-layer (dW, db), written into one fresh flat vector, plus
-    the gradient with respect to the input, which lets callers chain
-    networks (decoder into encoder); with ``input_grad=False`` that last
-    product is skipped and None returned in its place.
+    Writes the per-layer (dW, db) into ``grads``, laid out like the net's
+    parameters, and returns it; the input gradient is never formed.
     """
     g = np.ascontiguousarray(output_grad, dtype=net.dtype)
     if g.shape != cache[-1].shape:
         raise SizeMismatch(f"output_grad shape {g.shape} does not match output {cache[-1].shape}")
-    grads = ParamGrads(np.empty_like(net.params), net.shapes)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         gz = _activation_backward(g, cache[i + 1], layer.spec)
         dw, db = grads[i]
         np.matmul(gz.T, cache[i], out=dw)
         np.sum(gz, axis=0, out=db)
-        if i > 0 or input_grad:
+        if i > 0:
             g = gz @ layer.weight
-    return grads, g if input_grad else None
+    return grads
 
 
 def backward(net: Mlp, batch: PointSet, output_grad: np.ndarray) -> ParamGrads:
@@ -292,8 +289,8 @@ def backward(net: Mlp, batch: PointSet, output_grad: np.ndarray) -> ParamGrads:
     if batch.d != net.in_dim:
         raise SizeMismatch(f"network expects input dim {net.in_dim}, got {batch.d}")
     _, cache = _forward_cached(net, batch.data)
-    grads, _ = _backward_from_cache(net, cache, output_grad)
-    return grads
+    grads = ParamGrads(np.empty_like(net.params), net.shapes)
+    return _backward_from_cache(net, cache, output_grad, grads)
 
 
 # Adam sweeps its flat vectors in blocks of this many entries: the block's
@@ -485,13 +482,13 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
     the net's and the moments' flat vectors.  Keys the metadata carries
     beyond these (such as an older file's ``rng_state``) are ignored.
     """
-    try:
-        data = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise SpecError(f"{path}: not an npz checkpoint: {exc}") from exc
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise SpecError(f"{path}: not an npz checkpoint: holds a single array")
-    with data:
+    with open(path, "rb") as f:
+        try:
+            data = np.load(f, allow_pickle=False)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise SpecError(f"{path}: not an npz checkpoint: {exc}") from exc
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise SpecError(f"{path}: not an npz checkpoint: holds a single array")
         dtype, specs, adam_meta, extra = _read_meta(data, path)
         layers = [
             Layer(

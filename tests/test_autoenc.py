@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from otmap import autoenc
+from otmap import mappers
 from otmap.autoenc import (
     AutoencoderSpec,
     autoencoder_layer_specs,
@@ -13,8 +13,8 @@ from otmap.autoenc import (
 )
 from otmap.datasets import ImageBatch, make_glyphs
 from otmap.errors import SizeMismatch, SpecError
-from otmap.mappers import TrainConfig
-from otmap.nn import Activation
+from otmap.mappers import TrainConfig, _epoch_indices
+from otmap.nn import Activation, _activation_backward, _forward_cached, adam_step, init_adam, init_mlp
 from otmap.ot import PointSet
 
 
@@ -22,6 +22,41 @@ def tiny_images(n=64, h=6, w=6, seed=0):
     rng = np.random.default_rng(seed)
     px = rng.uniform(0.1, 0.9, size=(n, h * w)).astype(np.float32)
     return ImageBatch(pixels=px, h=h, w=w, c=1)
+
+
+def backward_with_input_grad(net, cache, output_grad):
+    # Per-layer (dW, db) pairs and the gradient wrt the net's input.
+    g = np.ascontiguousarray(output_grad, dtype=net.dtype)
+    grads = []
+    for i in reversed(range(len(net.layers))):
+        gz = _activation_backward(g, cache[i + 1], net.layers[i].spec)
+        grads.append((gz.T @ cache[i], gz.sum(axis=0)))
+        g = gz @ net.layers[i].weight
+    return grads[::-1], g
+
+
+def two_net_reference(images, spec, cfg):
+    """Reference trainer: encoder and decoder as two nets with their own Adam
+    states, the decoder's input gradient handed to the encoder by hand."""
+    enc_specs, dec_specs = autoencoder_layer_specs(spec)
+    init_seq = np.random.SeedSequence(cfg.seed).spawn(3)
+    encoder = init_mlp(enc_specs, seed=int(init_seq[0].generate_state(1)[0]))
+    decoder = init_mlp(dec_specs, seed=int(init_seq[1].generate_state(1)[0]))
+    batch_rng = np.random.Generator(np.random.PCG64(init_seq[2]))
+    adam_enc, adam_dec = init_adam(encoder), init_adam(decoder)
+    batches = _epoch_indices(images.n, min(cfg.batch_k, images.n), batch_rng)
+    losses = np.empty(cfg.steps)
+    for step, idx in zip(range(cfg.steps), batches):
+        x = images.pixels[idx]
+        latent, enc_cache = _forward_cached(encoder, x)
+        recon, dec_cache = _forward_cached(decoder, latent)
+        diff = recon.astype(np.float64) - x
+        losses[step] = float(np.einsum("ij,ij->", diff, diff) / diff.size)
+        dec_grads, latent_grad = backward_with_input_grad(decoder, dec_cache, (2.0 / diff.size) * diff)
+        enc_grads, _ = backward_with_input_grad(encoder, enc_cache, latent_grad)
+        adam_step(decoder, dec_grads, adam_dec, cfg.lr)
+        adam_step(encoder, enc_grads, adam_enc, cfg.lr)
+    return encoder, decoder, losses
 
 
 class TestSpecs:
@@ -78,13 +113,25 @@ class TestTraining:
         for la, lb in zip(a.encoder.layers, b.encoder.layers):
             assert np.array_equal(la.weight, lb.weight)
 
+    @pytest.mark.parametrize("n, seed", [(64, 4), (50, 9)])  # 50 leaves a remainder of 2
+    def test_matches_the_two_net_reference_bit_for_bit(self, n, seed):
+        images = tiny_images(n=n, seed=seed)
+        spec = AutoencoderSpec(input_dim=36, hidden=(16, 8), latent_dim=4)
+        cfg = TrainConfig(steps=40, batch_k=16, lr=1e-3, seed=seed)
+        result = train_autoencoder(images, spec, cfg)
+        encoder, decoder, losses = two_net_reference(images, spec, cfg)
+        assert np.array_equal(result.losses.view(np.uint64), losses.view(np.uint64))
+        assert np.array_equal(result.encoder.params.view(np.uint32), encoder.params.view(np.uint32))
+        assert np.array_equal(result.decoder.params.view(np.uint32), decoder.params.view(np.uint32))
+        assert result.encoder.shapes == encoder.shapes and result.decoder.shapes == decoder.shapes
+
     def test_batches_sweep_epochs_without_replacement(self, monkeypatch):
         # n=10, batch 4: two disjoint batches per epoch, then the remainder
         # of 2 is dropped and step 3 starts a fresh shuffle.
         images = tiny_images(n=10)
         spec = AutoencoderSpec(input_dim=36, hidden=(8,), latent_dim=4)
         cfg = TrainConfig(steps=4, batch_k=4, lr=1e-3, seed=5)
-        forward = autoenc._forward_cached
+        forward = mappers._forward_cached
 
         def batch_indices() -> list[list[int]]:
             steps = []
@@ -94,7 +141,7 @@ class TestTraining:
                     steps.append([int(np.flatnonzero((images.pixels == row).all(axis=1))[0]) for row in x])
                 return forward(net, x)
 
-            monkeypatch.setattr(autoenc, "_forward_cached", record)
+            monkeypatch.setattr(mappers, "_forward_cached", record)
             train_autoencoder(images, spec, cfg)
             return steps
 

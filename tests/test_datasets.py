@@ -91,6 +91,14 @@ class TestCircles:
         with pytest.raises(SpecError):
             SyntheticSpec(SyntheticKind.CIRCLES, n=4, factor=1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("noise_sd", v) for v in (np.nan, np.inf, -0.1)] + [("scale", v) for v in (np.nan, np.inf, 0.0, -1.0)],
+    )
+    def test_noise_and_scale_must_be_finite_and_in_range(self, field, value):
+        with pytest.raises(SpecError, match=field):
+            SyntheticSpec(SyntheticKind.MOONS, n=4, **{field: value})
+
     def test_zero_points_rejected(self):
         with pytest.raises(InvalidCount):
             SyntheticSpec(SyntheticKind.CIRCLES, n=0)
@@ -162,6 +170,14 @@ class TestLoadIdx:
         assert np.array_equal(back.labels, batch.labels)
         # quantization to bytes is the only loss
         assert np.abs(back.pixels - batch.pixels).max() <= 0.5 / 255.0 + 1e-7
+
+    @pytest.mark.parametrize("labels", [[300, 1], [-1, 1], None])
+    def test_save_rejects_unwritable_labels_before_writing(self, tmp_path, labels):
+        batch = ImageBatch(pixels=np.zeros((2, 4)), h=2, w=2, c=1, labels=labels)
+        img, lbl = tmp_path / "g.idx3", tmp_path / "g.idx1"
+        with pytest.raises(SpecError, match="labels"):
+            save_idx(img, batch, lbl)
+        assert not img.exists() and not lbl.exists()
 
 
 def glyphs_per_image(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

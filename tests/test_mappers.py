@@ -251,9 +251,9 @@ class TestTrainOttrans:
             xs.append(np.array(x))
             return forward(net, x)
 
-        def record_target(pred, target):
+        def record_target(pred, target, divisor):
             ys.append(np.array(target))
-            return cost(pred, target)
+            return cost(pred, target, divisor)
 
         monkeypatch.setattr(mappers, "_forward_cached", record_input)
         monkeypatch.setattr(mappers, "_squared_cost_and_grad", record_target)
@@ -270,6 +270,32 @@ class TestTrainOttrans:
             rows = hits.argmax(axis=1)
             assert len(set(rows.tolist())) == cfg.batch_k  # drawn without replacement
             np.testing.assert_array_equal(y, targets.data[sigma.perm[rows]])
+
+    def test_each_epoch_uses_every_pool_row_once(self, monkeypatch):
+        # m = 48, batch 16: steps 0-2 and steps 3-5 each cover the pool once.
+        targets = make_moons(SyntheticSpec(SyntheticKind.MOONS, n=48, seed=1))
+        cfg = TrainConfig(prior=PriorSpec(dim=2, seed=2), steps=6, batch_k=16, seed=3)
+        xs = []
+        forward = mappers._forward_cached
+
+        def record_input(net, x):
+            xs.append(np.array(x))
+            return forward(net, x)
+
+        monkeypatch.setattr(mappers, "_forward_cached", record_input)
+        train_ottrans(targets, cfg, small_mapper(seed=4))
+
+        prior_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed).spawn(2)[0]))
+        pool = sample_prior(cfg.prior, targets.k, prior_rng)
+        rows = []
+        for x in xs:
+            hits = np.all(x[:, None, :] == pool.data[None, :, :], axis=2)
+            assert (hits.sum(axis=1) == 1).all()
+            rows.append(hits.argmax(axis=1))
+        per_epoch = targets.k // cfg.batch_k
+        for start in range(0, cfg.steps, per_epoch):
+            used = np.concatenate(rows[start : start + per_epoch])
+            assert sorted(used.tolist()) == list(range(targets.k))
 
     def test_deterministic_runs(self):
         targets = make_moons(SyntheticSpec(SyntheticKind.MOONS, n=64, seed=5))
@@ -322,20 +348,21 @@ class TestTrainOtgen:
         z = PointSet(rng.normal(size=(k, 2)) * 2.0)
 
         from otmap.mappers import _squared_cost_and_grad
-        from otmap.nn import _backward_from_cache, _forward_cached
+        from otmap.nn import ParamGrads, _backward_from_cache, _forward_cached
 
         out, cache = _forward_cached(net, noise.data)
         sigma = solve_assignment(pairwise_cost(PointSet(out), z))
 
         def objective() -> float:
             o, _ = _forward_cached(net, noise.data)
-            loss, _, _ = _squared_cost_and_grad(o, z.data[sigma.perm])
+            loss, _, _ = _squared_cost_and_grad(o, z.data[sigma.perm], k)
             dval, _ = diversity_penalty(PointSet(o), z)
             return loss + lam * dval
 
-        _, out_grad, _ = _squared_cost_and_grad(out, z.data[sigma.perm])
+        _, out_grad, _ = _squared_cost_and_grad(out, z.data[sigma.perm], k)
         _, div_grad = diversity_penalty(PointSet(out), z)
-        grads, _ = _backward_from_cache(net, cache, out_grad + lam * div_grad)
+        grads = ParamGrads(np.empty_like(net.params), net.shapes)
+        _backward_from_cache(net, cache, out_grad + lam * div_grad, grads)
         analytic = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in grads])
 
         h = 1e-5

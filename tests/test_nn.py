@@ -19,7 +19,6 @@ from otmap.nn import (
     Mlp,
     _activate,
     _activation_backward,
-    _backward_from_cache,
     _forward_cached,
     adam_step,
     backward,
@@ -355,18 +354,6 @@ class TestBackward:
         specs = [LayerSpec(2, hidden, act), LayerSpec(hidden, 2, act)]
         # 1e-3 is 10 finite-difference steps.
         self._finite_difference_check(specs, seed=seed, k=3, kink_margin=1e-3)
-
-    @pytest.mark.parametrize("act", list(Activation))
-    def test_skipping_the_input_gradient_keeps_parameter_gradients(self, act):
-        specs = [LayerSpec(3, 5, act), LayerSpec(5, 4, act), LayerSpec(4, 2, act)]
-        net = init_mlp(specs, seed=6)
-        rng = np.random.default_rng(7)
-        _, cache = _forward_cached(net, rng.normal(size=(9, 3)))
-        g = rng.normal(size=(9, 2))
-        full, g_in = _backward_from_cache(net, cache, g)
-        lean, none = _backward_from_cache(net, cache, g, input_grad=False)
-        assert g_in.shape == (9, 3) and none is None
-        assert_same_bits(lean.flat, full.flat)
 
     def test_shape_mismatch(self):
         net = init_mlp([LayerSpec(2, 3)], seed=0)

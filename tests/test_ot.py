@@ -405,13 +405,13 @@ class TestAssignmentCostGradient:
         rng = np.random.default_rng(2)
         a = PointSet(rng.normal(size=(6, 2)))
         sigma = Assignment(perm=np.arange(6), total_cost=0.0)
-        _, grad, _ = _squared_cost_and_grad(a.data, a.data[sigma.perm])
+        _, grad, _ = _squared_cost_and_grad(a.data, a.data[sigma.perm], a.k)
         np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_single_point_closed_form(self):
         a, b = PointSet([[1.0, 0.0]]), PointSet([[0.0, 0.0]])
         sigma = Assignment(perm=np.array([0]), total_cost=1.0)
-        np.testing.assert_allclose(_squared_cost_and_grad(a.data, b.data[sigma.perm])[1], [[2.0, 0.0]])
+        np.testing.assert_allclose(_squared_cost_and_grad(a.data, b.data[sigma.perm], a.k)[1], [[2.0, 0.0]])
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(17)
@@ -424,7 +424,7 @@ class TestAssignmentCostGradient:
             diff = flat.reshape(k, d) - b.data[sigma.perm]
             return float(np.einsum("ij,ij->i", diff, diff).mean())
 
-        _, grad, _ = _squared_cost_and_grad(a_rows, b.data[sigma.perm])
+        _, grad, _ = _squared_cost_and_grad(a_rows, b.data[sigma.perm], k)
         h = 1e-6
         flat = a_rows.ravel().copy()
         for idx in range(flat.size):
