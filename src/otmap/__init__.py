@@ -38,7 +38,6 @@ from .nn import (
 )
 from .ot import (
     Assignment,
-    CostMatrix,
     PointSet,
     ot_divergence,
     pairwise_cost,
@@ -52,7 +51,6 @@ __all__ = [
     "AdamState",
     "Assignment",
     "ClusterModel",
-    "CostMatrix",
     "FeedbackTrace",
     "ImageBatch",
     "KmeansResult",

@@ -34,8 +34,8 @@ class ClusterModel:
                 f"{self.means.shape} and {self.covariances.shape}"
             )
         w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
-            raise ModelError("cluster weights must be non-negative and sum to 1")
+        if w.ndim != 1 or not np.isfinite(w).all() or (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
+            raise ModelError("cluster weights must be finite, non-negative and sum to 1")
         if self.means.shape[0] != len(w) or self.covariances.shape[:2] != (len(w), self.means.shape[1]):
             raise ModelError("weights, means, and covariances disagree on k or d")
         if not (np.isfinite(self.means).all() and np.isfinite(self.covariances).all()):
@@ -109,6 +109,8 @@ def kmeans_fit(points: PointSet, k: int, max_iters: int = 100, seed: int = 0) ->
     """
     if k < 1:
         raise InvalidCount(f"need k >= 1 clusters, got {k}")
+    if max_iters < 1:
+        raise InvalidCount(f"need max_iters >= 1 Lloyd iterations, got {max_iters}")
     if k > points.k:
         raise SpecError(f"cannot fit {k} clusters to {points.k} points")
     x = points.data

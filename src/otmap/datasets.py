@@ -10,8 +10,9 @@ moons, 0.071 for circles).  The check that measures it::
                   make_moons(SyntheticSpec(SyntheticKind.MOONS, n=10_000, seed=1)))
 
 (and the same with ``make_circles``).  It builds a 10,000 x 10,000 cost
-matrix (800 MB; peak RSS 0.84 GB) and took 31 s for moons and 40 s for
-circles on a 2-vCPU Xeon with one BLAS thread.  The estimate moves with
+matrix (800 MB; peak RSS 0.86 GB), and the ``ot_divergence`` call took
+29-30 s for moons and 35 s for circles on a 2-vCPU Xeon with one BLAS
+thread (warm-started solve, two runs each).  The estimate moves with
 the seeds: the pairs (0, 1) and (2, 3) give 0.064 and 0.057 for moons,
 0.054 and 0.063 for circles (NumPy 2.4, SciPy 1.17).  Scaling the coordinates scales every
 divergence linearly, so it changes no ranking.

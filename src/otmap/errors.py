@@ -37,7 +37,7 @@ class TooFewPoints(OtmapError):
 
 
 class InvalidCount(OtmapError):
-    """A requested number of samples, points or clusters is out of range."""
+    """A requested number of samples, points, clusters or iterations is out of range."""
 
 
 class ModelError(OtmapError):

@@ -446,6 +446,18 @@ def _checked(data, key: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndar
     return arr
 
 
+def _valid_adam_settings(t: object, beta1: object, beta2: object, eps: object) -> bool:
+    # JSON true/false load as bool, an int subclass; neither is a count or a rate.
+    def number(x: object) -> bool:
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    return (
+        number(t) and isinstance(t, int) and t >= 0
+        and all(number(b) and 0 <= b < 1 for b in (beta1, beta2))
+        and number(eps) and np.isfinite(eps) and eps > 0
+    )
+
+
 def _read_meta(data, path: str | Path) -> tuple[np.dtype, list[LayerSpec], dict | None, dict]:
     # The checkpoint's JSON header as (dtype, layer specs, Adam settings or
     # None, extra); any missing or mistyped entry is a SpecError naming the file.
@@ -466,6 +478,11 @@ def _read_meta(data, path: str | Path) -> tuple[np.dtype, list[LayerSpec], dict 
         ]
         a = meta["adam"]
         adam = None if a is None else {key: a[key] for key in ("t", "beta1", "beta2", "eps")}
+        if adam is not None and not _valid_adam_settings(**adam):
+            raise SpecError(
+                f"{path}: invalid Adam state {adam}: needs an integer t >= 0, "
+                "0 <= beta1, beta2 < 1 and a finite eps > 0"
+            )
         return np.dtype(meta["dtype"]), specs, adam, meta["extra"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"{path}: malformed checkpoint metadata: {exc!r}") from exc
@@ -475,7 +492,9 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
     """Load a checkpoint written by :func:`save_checkpoint`.
 
     A file that is not an npz archive, or whose metadata is missing or
-    malformed, raises :class:`SpecError` naming the file.  Every array must
+    malformed, raises :class:`SpecError` naming the file; so do Adam
+    settings that no run produces (t not an integer >= 0, a beta outside
+    [0, 1), eps not finite and positive).  Every array must
     have the shape its layer metadata gives (Adam moments that of their
     parameter) and the dtype ``meta["dtype"]`` names, else
     :class:`SpecError` naming the array.  The loaded arrays are copied into

@@ -20,19 +20,17 @@ constant, so the optimum is unchanged; with entropic (Sinkhorn) potentials
 (Cuturi 2013) the reduced matrix leaves the augmenting paths little to do.
 The potentials are refined in one k x k scratch buffer.  Up to
 ``PRIVATE_COPY_MAX_K`` that buffer is a private copy of the costs.  Above
-it, a matrix from :func:`pairwise_cost` lends its own buffer: each stage
+it, the cost matrix lends its own buffer: each stage
 rebuilds the costs from the two point sets, and the raw matrix is rebuilt
-in place before the solve returns, so no second k x k array is held.  A
-hand-built :class:`CostMatrix` has no points to rebuild from and is always
-warm-started on a copy.  On negative costs, or where rounding in the
-reduced costs could hide the optimum, the raw matrix is solved instead
-(see :func:`solve_assignment`).
+in place before the solve returns, so no second k x k array is held.  Where
+rounding in the reduced costs could hide the optimum, the raw matrix is
+solved instead (see :func:`solve_assignment`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -43,8 +41,8 @@ from .errors import InvalidCost, PoolTooLarge, SizeMismatch
 # Dense k x k matrices only; above this the cost matrix alone is > 2 GiB.
 MAX_DENSE_K = 16384
 # The largest k whose warm start works on a private copy of the costs (8 MiB
-# at k = 1024).  Above it a matrix from pairwise_cost lends its own buffer and
-# gets its costs rebuilt by cdist, which saves a second k x k array; at small
+# at k = 1024).  Above it the cost matrix lends its own buffer and gets its
+# costs rebuilt by cdist, which saves a second k x k array; at small
 # k the copy is faster than the rebuilds (measured: lending at every k made
 # the k = 256 solve 10% and the k = 128, d = 8 solve 21% slower).
 PRIVATE_COPY_MAX_K = 1024
@@ -59,7 +57,7 @@ class PointSet:
     """A batch of k points in d dimensions, rows = points.
 
     The universal currency between modules.  Data is stored as a read-only
-    float64 array; every entry must be finite.
+    float64 array (unpickling validates it again); every entry must be finite.
     """
 
     data: np.ndarray
@@ -86,26 +84,31 @@ class PointSet:
     def __repr__(self) -> str:  # keep reprs short; these can hold 10k points
         return f"PointSet(k={self.k}, d={self.d})"
 
+    def __reduce__(self) -> tuple[type[PointSet], tuple[np.ndarray]]:
+        return PointSet, (self.data,)
+
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Dense k x k matrix of pairwise costs (squared Euclidean from :func:`pairwise_cost`).
+    """Squared Euclidean costs between two point sets; built only by :func:`pairwise_cost`.
 
-    A matrix from :func:`pairwise_cost` has read-only ``values`` and keeps
-    its two point sets privately, so that :func:`solve_assignment` can
-    borrow the buffer above ``PRIVATE_COPY_MAX_K`` and rebuild it from the
-    points afterwards.  Above that limit such a matrix holds reduced costs
-    while it is being solved: do not read it from another thread then, nor
-    solve it from two threads at once.  A hand-built matrix is never
-    written to.
+    ``values`` is read-only and ``points`` are the two sets it was built
+    from, so that :func:`solve_assignment` can borrow the buffer above
+    ``PRIVATE_COPY_MAX_K`` and rebuild it from the points afterwards.  Above
+    that limit the matrix holds reduced costs while it is being solved: do
+    not read it from another thread then, nor solve it from two threads at
+    once.  It pickles as its two point sets and is rebuilt on loading.
     """
 
     values: np.ndarray
-    _points: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+    points: tuple[PointSet, PointSet]
 
     @property
     def k(self) -> int:
         return self.values.shape[0]
+
+    def __reduce__(self) -> tuple[Callable[[PointSet, PointSet], CostMatrix], tuple[PointSet, PointSet]]:
+        return pairwise_cost, self.points
 
 
 @dataclass(frozen=True)
@@ -150,32 +153,26 @@ def pairwise_cost(a: PointSet, b: PointSet) -> CostMatrix:
     _check_same_shape(a, b)
     if a.k > MAX_DENSE_K:
         raise PoolTooLarge(f"k={a.k} exceeds the dense cost-matrix limit of {MAX_DENSE_K}")
-    costs = CostMatrix(values=cdist(a.data, b.data, "sqeuclidean"))
-    costs.values.setflags(write=False)
-    object.__setattr__(costs, "_points", (a.data, b.data))
-    return costs
+    values = cdist(a.data, b.data, "sqeuclidean")
+    values.setflags(write=False)
+    return CostMatrix(values=values, points=(a, b))
 
 
 def _warm_start(
     buf: np.ndarray, rebuild: Callable[[np.ndarray, np.ndarray], None]
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray]:
     """Sinkhorn potentials f, g for the costs C in ``buf``, leaving ``C - f_i - g_j`` there.
 
-    ``rebuild(out, f)`` must write ``C - f_i`` into ``out``.  Returns None,
-    with ``buf`` untouched, where the raw matrix is solved instead: k = 0
-    or a negative cost.  Starts from the row and column minimum reduction
-    and refines it with three Sinkhorn stages at epsilon = 0.2, 0.05 and
-    0.01 times the mean reduced cost, 5 sweeps each.  A stage whose
+    ``rebuild(out, f)`` must write ``C - f_i`` into ``out``; C must be
+    non-negative with k >= 1.  Starts from the row and column minimum
+    reduction and refines it with three Sinkhorn stages at epsilon = 0.2,
+    0.05 and 0.01 times the mean reduced cost, 5 sweeps each.  A stage whose
     potentials come out non-finite (a zero or overflowing mean, an
     underflowing kernel) is dropped, and so are the later ones.  ``buf``
     holds each stage's kernel in turn; no other k x k array is made.
     """
     k = buf.shape[0]
-    if k == 0:
-        return None
     f = buf.min(axis=1)
-    if f.min() < 0:
-        return None
     buf -= f[:, None]
     g = buf.min(axis=0)
     buf -= g
@@ -204,40 +201,35 @@ def _warm_start(
 
 
 def solve_assignment(costs: CostMatrix) -> Assignment:
-    """Exact minimum-total-cost bijection for a square cost matrix.
+    """Exact minimum-total-cost bijection for a matrix from :func:`pairwise_cost`.
 
-    Exact (to float64 rounding) and deterministic per input.  Non-square
-    or empty input raises :class:`SizeMismatch`; NaN or infinite entries
-    raise :class:`InvalidCost`.
+    Exact (to float64 rounding) and deterministic per input.  Infinite
+    entries (coordinates large enough for their squares to overflow) raise
+    :class:`InvalidCost`.
     ``total_cost`` always sums the given costs over the returned permutation.
 
-    The warm start needs one k x k scratch buffer.  For a matrix from
-    :func:`pairwise_cost` with k above ``PRIVATE_COPY_MAX_K`` that is
-    ``costs.values`` itself: it holds reduced costs during the solve and is
-    rebuilt from the points, bit for bit, before this returns or raises.
-    Any other matrix is warm-started on a private copy.
+    The warm start needs one k x k scratch buffer.  Above
+    ``PRIVATE_COPY_MAX_K`` that is ``costs.values`` itself: it holds reduced
+    costs during the solve and is rebuilt from the points, bit for bit,
+    before this returns or raises.  At or below it the buffer is a private copy.
     """
-    values = np.asarray(costs.values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise SizeMismatch(f"assignment needs a square cost matrix, got shape {values.shape}")
-    # min and max propagate NaN, so two reductions stand in for a k x k mask.
-    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
-        raise InvalidCost("cost matrix contains NaN or infinite entries")
-    points = costs._points
-    # An unpickled matrix does not own its buffer, which then cannot be made
-    # writable; it is warm-started on a copy like a hand-built one.
-    lend = points is not None and values.shape[0] > PRIVATE_COPY_MAX_K and values.flags.owndata
+    values = costs.values
+    # Squared distances between finite points are never negative or NaN, so
+    # the maximum alone finds an overflow, without a k x k mask.
+    if not np.isfinite(values.max()):
+        raise InvalidCost("cost matrix contains infinite entries")
+    a, b = costs.points
+    lend = costs.k > PRIVATE_COPY_MAX_K
     if lend:
-        # The buffer is lent through a writable view: ``values`` keeps its
-        # flags for every other reader, and scipy takes the view without the
-        # copy it makes of a read-only array.
-        writeable = values.flags.writeable
+        # The buffer is lent through a writable view: ``values`` stays
+        # read-only for every other reader, and scipy takes the view without
+        # the copy it makes of a read-only array.
         values.setflags(write=True)
         buf = values.view()
-        values.setflags(write=writeable)
+        values.setflags(write=False)
 
         def rebuild(out: np.ndarray, f: np.ndarray) -> None:
-            cdist(*points, "sqeuclidean", out=out)
+            cdist(a.data, b.data, "sqeuclidean", out=out)
             out -= f[:, None]
 
     else:
@@ -246,24 +238,19 @@ def solve_assignment(costs: CostMatrix) -> Assignment:
         def rebuild(out: np.ndarray, f: np.ndarray) -> None:
             np.subtract(values, f[:, None], out=out)
 
-    rows = None
     try:
-        warm = _warm_start(buf, rebuild)
-        if warm is not None:
-            rows, cols = linear_sum_assignment(buf)
+        f, g = _warm_start(buf, rebuild)
+        rows, cols = linear_sum_assignment(buf)
     finally:
         if lend:
-            cdist(*points, "sqeuclidean", out=buf)
-    if warm is not None:
-        f, g = warm
-        # Each reduced entry is off by at most about u(|C| + |f_i| + |g_j|)
-        # (u the unit roundoff), so on non-negative costs the warm total is
-        # within about 4u(total + |f|_1 + |g|_1) of the optimum.  Potentials
-        # far larger than the matched costs (costs spanning many orders of
-        # magnitude) would lose the optimum to rounding; solve cold then.
-        if (np.abs(f).sum() + np.abs(g).sum()) / _MAX_POTENTIAL_RATIO > values[rows, cols].sum():
-            rows = None
-    if rows is None:
+            cdist(a.data, b.data, "sqeuclidean", out=buf)
+    # Each reduced entry is off by at most about u(|C| + |f_i| + |g_j|)
+    # (u the unit roundoff), so on non-negative costs the warm total is
+    # within about 4u(total + |f|_1 + |g|_1) of the optimum.  Potentials
+    # far larger than the matched costs (costs spanning many orders of
+    # magnitude, or coincident sets with a total near 0) would lose the
+    # optimum to rounding; solve cold then.
+    if (np.abs(f).sum() + np.abs(g).sum()) / _MAX_POTENTIAL_RATIO > values[rows, cols].sum():
         # Cold, on the raw costs in buf (a lent buffer holds them again).
         if not lend:
             np.copyto(buf, values)

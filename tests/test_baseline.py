@@ -48,6 +48,11 @@ class TestKmeansFit:
         with pytest.raises(SpecError):
             kmeans_fit(PointSet(np.zeros((3, 2))), k=4)
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_rejects_fewer_than_one_iteration(self, max_iters):
+        with pytest.raises(InvalidCount, match="max_iters"):
+            kmeans_fit(PointSet(np.zeros((3, 2))), k=2, max_iters=max_iters)
+
     def test_labels_cover_inputs(self):
         pts = make_moons(SyntheticSpec(SyntheticKind.MOONS, n=200, seed=6))
         result = kmeans_fit(pts, k=5, seed=7)
@@ -128,6 +133,11 @@ class TestClusterModelJson:
 
     def test_nan_means_rejected(self):
         text = '{"weights": [1.0], "means": [[NaN, 0.0]], "covariances": [[[1.0, 0.0], [0.0, 1.0]]]}'
+        with pytest.raises(ModelError, match="finite"):
+            ClusterModel.from_json(text)
+
+    def test_nan_weight_rejected(self):
+        text = '{"weights": [NaN, 1.0], "means": [[0.0], [1.0]], "covariances": [[[1.0]], [[1.0]]]}'
         with pytest.raises(ModelError, match="finite"):
             ClusterModel.from_json(text)
 

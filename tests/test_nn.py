@@ -600,6 +600,19 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
+        "key, bad",
+        [("t", "x"), ("t", -3), ("t", 2.5), ("t", True), ("beta1", 1.5), ("beta2", -0.1),
+         ("beta1", float("nan")), ("eps", -1.0), ("eps", 0.0), ("eps", float("inf"))],
+    )
+    def test_rejects_bad_adam_settings_naming_the_file(self, tmp_path, key, bad):
+        net = init_mlp([LayerSpec(2, 4), LayerSpec(4, 2, Activation.IDENTITY)], seed=0)
+        path = tmp_path / "net.npz"
+        save_checkpoint(path, net, adam=init_adam(net))
+        self._rewrite(path, lambda meta: meta["adam"].update({key: bad}))
+        with pytest.raises(SpecError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
         "damage", ["no-meta", "layer-without-slope", "not-npz", "empty", "truncated", "single-array"]
     )
     def test_rejects_malformed_file_naming_it(self, tmp_path, damage):

@@ -87,56 +87,62 @@ class TestPairwiseCost:
             c.values[0, 0] = 0.0
 
 
+def random_costs(rng: np.random.Generator, k: int, d: int) -> CostMatrix:
+    """Costs between two uniform samples of k points in d dimensions."""
+    return pairwise_cost(PointSet(rng.random((k, d))), PointSet(rng.random((k, d))))
+
+
 class TestSolveAssignment:
     def test_zero_diagonal(self):
-        sol = solve_assignment(CostMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        pts = PointSet([[0.0], [1.0]])
+        sol = solve_assignment(pairwise_cost(pts, pts))
         assert sol.perm.tolist() == [0, 1]
         assert sol.total_cost == 0.0
 
     def test_zero_anti_diagonal(self):
-        sol = solve_assignment(CostMatrix(np.array([[5.0, 0.0], [0.0, 5.0]])))
+        sol = solve_assignment(pairwise_cost(PointSet([[0.0], [2.0]]), PointSet([[2.0], [0.0]])))
         assert sol.perm.tolist() == [1, 0]
         assert sol.total_cost == 0.0
 
-    def test_non_square(self):
-        with pytest.raises(SizeMismatch):
-            solve_assignment(CostMatrix(np.zeros((2, 3))))
-
-    def test_nan_entry(self):
-        with pytest.raises(InvalidCost):
-            solve_assignment(CostMatrix(np.array([[np.nan, 1.0], [1.0, 0.0]])))
-
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_infinite_entry(self, bad):
-        values = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-        values[1, 2] = bad
+        # An infinite coordinate never makes a point set; a finite one of the
+        # same sign near 1e200 squares to an infinite cost, which is refused.
         with pytest.raises(InvalidCost):
-            solve_assignment(CostMatrix(values))
+            PointSet([[bad, 0.0]])
+        a = PointSet([[0.0, 0.0], [1.0, 0.0], [np.copysign(1e200, bad), 0.0]])
+        b = PointSet([[0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(InvalidCost):
+            solve_assignment(pairwise_cost(a, b))
 
     def test_matches_brute_force_on_200_random_6x6(self):
+        # Up to d = 5 the 6 x 6 squared distances (rank <= d + 2) are generic.
         rng = np.random.default_rng(42)
         for _ in range(200):
-            values = rng.random((6, 6))
-            sol = solve_assignment(CostMatrix(values))
+            costs = random_costs(rng, 6, int(rng.integers(1, 6)))
+            sol = solve_assignment(costs)
             assert sorted(sol.perm.tolist()) == list(range(6))
-            assert sol.total_cost == pytest.approx(brute_force_min_cost(values), abs=1e-12)
+            assert sol.total_cost == pytest.approx(brute_force_min_cost(costs.values), abs=1e-12)
 
     def test_deterministic_for_fixed_input(self):
-        values = np.ones((5, 5))  # fully tied: any permutation is optimal
-        first = solve_assignment(CostMatrix(values))
-        second = solve_assignment(CostMatrix(values.copy()))
-        assert first.perm.tolist() == second.perm.tolist()
+        # Every source point is at the same distance from every target, so
+        # any permutation is optimal.
+        def solve_tied() -> np.ndarray:
+            return solve_assignment(pairwise_cost(PointSet(np.zeros((5, 1))), PointSet(np.ones((5, 1))))).perm
+
+        assert solve_tied().tolist() == solve_tied().tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(
         k=st.integers(min_value=2, max_value=7),
+        d=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    def test_optimality_property(self, k, seed):
-        values = np.random.default_rng(seed).random((k, k))
-        sol = solve_assignment(CostMatrix(values))
+    def test_optimality_property(self, k, d, seed):
+        costs = random_costs(np.random.default_rng(seed), k, d)
+        sol = solve_assignment(costs)
         assert sorted(sol.perm.tolist()) == list(range(k))
-        assert sol.total_cost == pytest.approx(brute_force_min_cost(values), abs=1e-12)
+        assert sol.total_cost == pytest.approx(brute_force_min_cost(costs.values), abs=1e-12)
 
 
 def noise_to_moons_points(k: int, seed: int) -> tuple[PointSet, PointSet]:
@@ -150,19 +156,15 @@ def noise_to_moons(k: int, seed: int) -> np.ndarray:
     return pairwise_cost(*noise_to_moons_points(k, seed)).values
 
 
-def warm_start_copy(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """``_warm_start`` on a copy of ``values``: reduced costs, f and g, or None."""
+def warm_start_copy(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_warm_start`` on a copy of ``values``: reduced costs, f and g."""
     buf = values.copy()
-    warm = _warm_start(buf, lambda out, f: np.subtract(values, f[:, None], out=out))
-    return None if warm is None else (buf, *warm)
+    f, g = _warm_start(buf, lambda out, f: np.subtract(values, f[:, None], out=out))
+    return buf, f, g
 
 
-def assert_matches_reference(values: np.ndarray | CostMatrix) -> None:
-    """solve_assignment returns a permutation with the cold solver's optimal total.
-
-    Raw costs are solved as a hand-built matrix, a CostMatrix as it is.
-    """
-    costs = values if isinstance(values, CostMatrix) else CostMatrix(values)
+def assert_matches_reference(costs: CostMatrix) -> None:
+    """solve_assignment returns a permutation with the cold solver's optimal total."""
     sol = solve_assignment(costs)
     values = costs.values
     rows, cols = linear_sum_assignment(values)
@@ -171,81 +173,104 @@ def assert_matches_reference(values: np.ndarray | CostMatrix) -> None:
     assert sol.total_cost == float(values[np.arange(values.shape[0]), sol.perm].sum())
 
 
+def count_solver_calls(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    """Record the size of every linear_sum_assignment call solve_assignment makes."""
+    calls: list[int] = []
+
+    def counting(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        calls.append(values.shape[0])
+        return linear_sum_assignment(values)
+
+    monkeypatch.setattr(otmap.ot, "linear_sum_assignment", counting)
+    return calls
+
+
 class TestWarmStart:
     """The Sinkhorn warm start against scipy's solver run on the raw matrix."""
 
     @settings(max_examples=40, deadline=None)
     @given(k=st.integers(min_value=1, max_value=160), seed=st.integers(min_value=0, max_value=2**31))
     def test_noise_to_moons(self, k, seed):
-        assert_matches_reference(noise_to_moons(k, seed))
+        assert_matches_reference(pairwise_cost(*noise_to_moons_points(k, seed)))
 
     @settings(max_examples=40, deadline=None)
     @given(k=st.integers(min_value=1, max_value=160), seed=st.integers(min_value=0, max_value=2**31))
     def test_normal_to_normal(self, k, seed):
         rng = np.random.default_rng(seed)
         a, b = PointSet(rng.normal(size=(k, 2))), PointSet(rng.normal(size=(k, 2)))
-        assert_matches_reference(pairwise_cost(a, b).values)
+        assert_matches_reference(pairwise_cost(a, b))
 
     def test_duplicated_points(self):
         rng = np.random.default_rng(4)
         noise = rng.uniform(-1.0, 1.0, size=(60, 2))
         moons = make_moons(SyntheticSpec(SyntheticKind.MOONS, 60, seed=5)).data
         a, b = PointSet(np.repeat(noise, 3, axis=0)), PointSet(np.repeat(moons, 3, axis=0))
-        assert_matches_reference(pairwise_cost(a, b).values)
+        assert_matches_reference(pairwise_cost(a, b))
 
     def test_all_equal(self):
-        assert_matches_reference(np.full((50, 50), 3.0))
+        assert_matches_reference(pairwise_cost(PointSet(np.zeros((50, 1))), PointSet(np.full((50, 1), 3.0))))
 
     def test_integer_l1_costs(self):
+        # Integer grids give integer costs with many ties.  On 0/1
+        # coordinates the squared Euclidean cost is the L1 (Hamming) cost.
         rng = np.random.default_rng(6)
-        a = PointSet(rng.integers(0, 5, size=(120, 2)))
-        b = PointSet(rng.integers(3, 9, size=(120, 2)))
-        assert_matches_reference(cdist(a.data, b.data, "cityblock"))
+        grid_a, grid_b = rng.integers(0, 5, size=(120, 2)), rng.integers(3, 9, size=(120, 2))
+        assert_matches_reference(pairwise_cost(PointSet(grid_a), PointSet(grid_b)))
+        a, b = PointSet(rng.integers(0, 2, size=(120, 6))), PointSet(rng.integers(0, 2, size=(120, 6)))
+        costs = pairwise_cost(a, b)
+        np.testing.assert_array_equal(costs.values, cdist(a.data, b.data, "cityblock"))
+        assert_matches_reference(costs)
 
     @pytest.mark.parametrize("scale", [1e-8, 1e8])
     def test_scaled_costs(self, scale):
-        assert_matches_reference(scale * noise_to_moons(200, 7))
+        noise, moons = noise_to_moons_points(200, 7)
+        s = np.sqrt(scale)
+        assert_matches_reference(pairwise_cost(PointSet(s * noise.data), PointSet(s * moons.data)))
 
     def test_single_point(self):
-        assert_matches_reference(np.array([[2.5]]))
-
-    def test_empty_matrix(self):
-        assert warm_start_copy(np.zeros((0, 0))) is None
-        with pytest.raises(SizeMismatch):
-            solve_assignment(CostMatrix(np.zeros((0, 0))))
-
-    def test_negative_costs_solve_cold(self):
-        values = noise_to_moons(100, 13) - 1.0
-        buf = values.copy()
-        assert _warm_start(buf, lambda out, f: pytest.fail("rebuilt")) is None
-        np.testing.assert_array_equal(buf, values)
-        assert_matches_reference(values)
+        assert_matches_reference(pairwise_cost(PointSet([[0.0]]), PointSet([[1.5]])))
 
     @pytest.mark.parametrize("k", [PRIVATE_COPY_MAX_K, PRIVATE_COPY_MAX_K + 1, 2000])
     def test_size_limit(self, k):
         # Either side of the private-copy limit, and the divergence's size.
         assert_matches_reference(pairwise_cost(*noise_to_moons_points(k, 8)))
 
-    def test_costs_spanning_300_decades(self):
-        # Potentials sized by the 1e300 entries would round the O(1) costs
-        # away; the rounding guard must hand this matrix to the cold solve.
+    def test_costs_spanning_300_decades(self, monkeypatch):
+        # Coordinates near 1e150 swallow the O(1) offsets, so every cost is
+        # O(1) or about 1e300, and an O(1) matching exists.  Potentials sized
+        # by the 1e300 entries would round the O(1) costs away; the rounding
+        # guard must re-solve cold, on either side of the private-copy limit.
         rng = np.random.default_rng(9)
-        values = rng.random((40, 40))
-        values[rng.random((40, 40)) < 0.4] = 1e300
-        assert warm_start_copy(values) is not None
-        assert_matches_reference(values)
-        assert solve_assignment(CostMatrix(values)).total_cost < 40.0
+        for k in (40, PRIVATE_COPY_MAX_K + 1):
+            far = 1e150 * (rng.random((k, 2)) < 0.5)
+            a = PointSet(rng.random((k, 2)) + far)
+            b = PointSet(rng.random((k, 2)) + far[rng.permutation(k)])
+            costs = pairwise_cost(a, b)
+            assert costs.values.max() > 1e299
+            calls = count_solver_calls(monkeypatch)
+            assert_matches_reference(costs)
+            assert calls == [k, k]
+            assert solve_assignment(costs).total_cost < 2.0 * k
+
+    @pytest.mark.parametrize("k", [128, PRIVATE_COPY_MAX_K + 1])
+    def test_rounding_guard_solves_coincident_sets_cold(self, k, monkeypatch):
+        # The optimal total is 0, below any potentials the warm start finds.
+        _, moons = noise_to_moons_points(k, 20)
+        calls = count_solver_calls(monkeypatch)
+        assert solve_assignment(pairwise_cost(moons, moons)).total_cost == 0.0
+        assert calls == [k, k]
 
     def test_non_finite_stage_keeps_previous_potentials(self):
-        # The mean reduced cost overflows, so the first Sinkhorn stage is
-        # non-finite and the min-reduction potentials are kept.
-        rng = np.random.default_rng(10)
-        values = 1e307 * (1.0 + rng.random((8, 8)))
+        # Costs near 1e307: the mean reduced cost overflows, so the first
+        # Sinkhorn stage is non-finite and the min-reduction potentials are kept.
+        rng = np.random.default_rng(13)
+        a, b = (PointSet(rng.uniform(-4e153, 4e153, size=(8, 2))) for _ in range(2))
+        costs = pairwise_cost(a, b)
+        values = costs.values
         reduced, f, g = warm_start_copy(values)
         assert np.isfinite(reduced).all()
         np.testing.assert_array_equal(f, values.min(axis=1))
-        assert_matches_reference(values)
-
+        assert_matches_reference(costs)
     def test_reduced_costs_plus_potentials_give_back_the_input(self):
         values = noise_to_moons(300, 11)
         reduced, f, g = warm_start_copy(values)
@@ -284,23 +309,22 @@ class TestWarmStart:
         assert sol.total_cost == 0.0
         assert peak <= 0.01 * 8 * k * k
 
-    def test_hand_built_matrix_above_the_limit_is_left_alone(self):
-        values = noise_to_moons(PRIVATE_COPY_MAX_K + 1, 14)
-        values.setflags(write=True)
-        before = values.copy()
-        assert_matches_reference(values)
-        assert values.flags.writeable
-        np.testing.assert_array_equal(values, before)
-
     @pytest.mark.parametrize("protocol", [4, 5])
     def test_unpickled_matrix_above_the_limit(self, protocol):
-        # Its values do not own their buffer (under protocol 5 it cannot be
-        # made writable), so it is solved on a copy.
+        # A matrix pickles as its two point sets and is rebuilt on loading,
+        # so the loaded one lends and restores its buffer like the original.
         costs = pairwise_cost(*noise_to_moons_points(PRIVATE_COPY_MAX_K + 1, 17))
-        costs = pickle.loads(pickle.dumps(costs, protocol=protocol))
-        before = costs.values.tobytes()
-        assert_matches_reference(costs)
-        assert costs.values.tobytes() == before
+        blob = pickle.dumps(costs, protocol=protocol)
+        assert len(blob) < costs.values.nbytes / 100
+        loaded = pickle.loads(blob)
+        before = loaded.values.tobytes()
+        assert before == costs.values.tobytes()
+        expected, sol = solve_assignment(costs), solve_assignment(loaded)
+        assert sol.perm.tolist() == expected.perm.tolist()
+        assert sol.total_cost == expected.total_cost
+        assert loaded.values.tobytes() == before
+        assert not loaded.values.flags.writeable
+        assert not any(ps.data.flags.writeable for ps in loaded.points)
 
     @pytest.mark.parametrize("k", [1, PRIVATE_COPY_MAX_K, PRIVATE_COPY_MAX_K + 1])
     def test_values_unchanged_by_the_solve(self, k):
