@@ -6,7 +6,6 @@ from .datasets import (
     SyntheticKind,
     SyntheticSpec,
     load_idx,
-    make_circles,
     make_glyphs,
     make_moons,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "kmeans_fit",
     "load_checkpoint",
     "load_idx",
-    "make_circles",
     "make_glyphs",
     "make_moons",
     "ot_divergence",

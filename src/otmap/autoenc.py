@@ -26,6 +26,9 @@ from .nn import Activation, LayerSpec, Mlp, _forward_cached, init_mlp
 from .nn import _backward_from_cache, adam_step  # noqa: F401
 from .ot import PointSet
 
+# Images per encoder forward pass: bounds its activations at this many rows.
+_ENCODE_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class AutoencoderSpec:
@@ -94,18 +97,15 @@ def train_autoencoder(images: ImageBatch, spec: AutoencoderSpec, cfg: TrainConfi
     return AutoencoderResult(Mlp(net.layers[:n_enc]), Mlp(net.layers[n_enc:]), result.losses)
 
 
-def encode(encoder: Mlp, images: ImageBatch, chunk: int = 4096) -> PointSet:
-    """Map images to latent vectors (k = n, d = latent dim), ``chunk`` images
-    per forward pass."""
-    if chunk < 1:
-        raise SpecError(f"chunk must be >= 1, got {chunk}")
+def encode(encoder: Mlp, images: ImageBatch) -> PointSet:
+    """Map images to latent vectors (k = n, d = latent dim)."""
     if images.pixels.shape[1] != encoder.in_dim:
         raise SizeMismatch(
             f"encoder expects input dim {encoder.in_dim}, images have {images.pixels.shape[1]}"
         )
     outs = []
-    for start in range(0, images.n, chunk):
-        block, _ = _forward_cached(encoder, images.pixels[start : start + chunk])
+    for start in range(0, images.n, _ENCODE_CHUNK):
+        block, _ = _forward_cached(encoder, images.pixels[start : start + _ENCODE_CHUNK])
         outs.append(block.astype(np.float64))
     return PointSet(np.concatenate(outs))
 

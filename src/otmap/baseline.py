@@ -7,9 +7,7 @@ Sampling the mixture gives the comparison generator.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -51,32 +49,6 @@ class ClusterModel:
     @property
     def d(self) -> int:
         return self.means.shape[1]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "weights": self.weights.tolist(),
-                "means": self.means.tolist(),
-                "covariances": self.covariances.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ClusterModel":
-        """Inverse of :meth:`to_json`; malformed text raises :class:`ModelError`."""
-        try:
-            obj = json.loads(text)
-            arrays = {key: np.asarray(obj[key], dtype=np.float64) for key in ("weights", "means", "covariances")}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelError(f"cluster model JSON is malformed: {exc!r}") from exc
-        return cls(**arrays)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ClusterModel":
-        return cls.from_json(Path(path).read_text())
 
 
 @dataclass

@@ -1,21 +1,18 @@
-"""Synthetic 2D distributions and IDX image ingestion.
+"""Synthetic two-moons points, IDX image ingestion and the glyph corpus.
 
-The two-moons and concentric-circles generators follow the conventional
-arc constructions, with one extra knob: a global coordinate ``scale``.
-The default scales are meant to put the divergence between two independent
-10,000-point samples on the published reference baseline (about 0.070 for
-moons, 0.071 for circles).  The check that measures it::
+The two-moons generator follows the conventional arc construction, with one
+extra knob: a global coordinate ``scale``.  Its default, ``MOONS_SCALE``,
+fixes the size of every moons sample the tests and benchmarks draw.  It was
+meant to put the divergence between two independent 10,000-point samples
+near a reference baseline of about 0.070.  Measured, it does not: the check::
 
     ot_divergence(make_moons(SyntheticSpec(SyntheticKind.MOONS, n=10_000, seed=0)),
                   make_moons(SyntheticSpec(SyntheticKind.MOONS, n=10_000, seed=1)))
 
-(and the same with ``make_circles``).  It builds a 10,000 x 10,000 cost
-matrix (800 MB; peak RSS 0.86 GB), and the ``ot_divergence`` call took
-29-30 s for moons and 35 s for circles on a 2-vCPU Xeon with one BLAS
-thread (warm-started solve, two runs each).  The estimate moves with
-the seeds: the pairs (0, 1) and (2, 3) give 0.064 and 0.057 for moons,
-0.054 and 0.063 for circles (NumPy 2.4, SciPy 1.17).  Scaling the coordinates scales every
-divergence linearly, so it changes no ranking.
+reads 0.064, and 0.057 with the seeds 2 and 3 (NumPy 2.4, SciPy 1.17).  It
+builds a 10,000 x 10,000 cost matrix (800 MB; peak RSS 0.86 GB) and took
+29-30 s on a 2-vCPU Xeon with one BLAS thread.  Scaling the coordinates
+scales every divergence linearly, so it changes no ranking.
 """
 
 from __future__ import annotations
@@ -36,9 +33,8 @@ from .ot import PointSet
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
-# Calibrated global scales (see module docstring).
+# Global scale of every moons sample by default (see module docstring).
 MOONS_SCALE = 3.2232
-CIRCLES_SCALE = 2.7175
 
 
 def _count(n: int, what: str) -> int:
@@ -65,22 +61,19 @@ def _seed(seed: int) -> int:
 
 class SyntheticKind(Enum):
     MOONS = "moons"
-    CIRCLES = "circles"
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Parameters of one synthetic 2D sample.
+    """Parameters of one two-moons sample.
 
-    ``factor`` is the inner-radius ratio and only affects circles.
-    ``scale`` multiplies the finished coordinates; None picks the
-    calibrated default for the kind.
+    ``scale`` multiplies the finished coordinates; None picks
+    ``MOONS_SCALE``.
     """
 
     kind: SyntheticKind
     n: int
     noise_sd: float = 0.05
-    factor: float = 0.5
     seed: int = 0
     scale: float | None = None
 
@@ -89,22 +82,12 @@ class SyntheticSpec:
         _seed(self.seed)
         if not 0.0 <= self.noise_sd < math.inf:
             raise SpecError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
-        if not (0.0 < self.factor < 1.0):
-            raise SpecError(f"circles factor must lie in (0, 1), got {self.factor}")
         if self.scale is not None and not 0.0 < self.scale < math.inf:
             raise SpecError(f"scale must be finite and positive, got {self.scale}")
 
     @property
     def resolved_scale(self) -> float:
-        if self.scale is not None:
-            return self.scale
-        return MOONS_SCALE if self.kind is SyntheticKind.MOONS else CIRCLES_SCALE
-
-
-def _split_counts(n: int) -> tuple[int, int]:
-    # First class (upper arc / outer ring) gets the extra point on odd n.
-    first = (n + 1) // 2
-    return first, n - first
+        return MOONS_SCALE if self.scale is None else self.scale
 
 
 def make_moons(spec: SyntheticSpec) -> PointSet:
@@ -114,10 +97,9 @@ def make_moons(spec: SyntheticSpec) -> PointSet:
     uniformly on [0, pi]; the arcs split n as evenly as possible (upper arc
     first in row order).
     """
-    if spec.kind is not SyntheticKind.MOONS:
-        raise SpecError(f"make_moons got a {spec.kind.value} spec")
     rng = np.random.default_rng(spec.seed)
-    n_up, n_lo = _split_counts(spec.n)
+    n_up = (spec.n + 1) // 2
+    n_lo = spec.n - n_up
     t_up = rng.uniform(0.0, np.pi, n_up)
     t_lo = rng.uniform(0.0, np.pi, n_lo)
     pts = np.concatenate(
@@ -129,35 +111,6 @@ def make_moons(spec: SyntheticSpec) -> PointSet:
     if spec.noise_sd > 0:
         pts += rng.normal(0.0, spec.noise_sd, pts.shape)
     return PointSet(pts * spec.resolved_scale)
-
-
-def make_circles(spec: SyntheticSpec) -> PointSet:
-    """Two concentric rings (radius 1 and ``factor``) with Gaussian noise.
-
-    Angles are uniform on [0, 2 pi); the rings split n as evenly as
-    possible (outer ring first in row order).
-    """
-    if spec.kind is not SyntheticKind.CIRCLES:
-        raise SpecError(f"make_circles got a {spec.kind.value} spec")
-    rng = np.random.default_rng(spec.seed)
-    n_out, n_in = _split_counts(spec.n)
-    a_out = rng.uniform(0.0, 2.0 * np.pi, n_out)
-    a_in = rng.uniform(0.0, 2.0 * np.pi, n_in)
-    pts = np.concatenate(
-        [
-            np.stack([np.cos(a_out), np.sin(a_out)], axis=1),
-            spec.factor * np.stack([np.cos(a_in), np.sin(a_in)], axis=1),
-        ]
-    )
-    if spec.noise_sd > 0:
-        pts += rng.normal(0.0, spec.noise_sd, pts.shape)
-    return PointSet(pts * spec.resolved_scale)
-
-
-def synthetic_labels(spec: SyntheticSpec) -> np.ndarray:
-    """Class labels (0 = upper arc / outer ring) in row order of the sample."""
-    first, second = _split_counts(spec.n)
-    return np.concatenate([np.zeros(first, dtype=np.int64), np.ones(second, dtype=np.int64)])
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +359,15 @@ def make_glyphs(n: int, seed: int = 0) -> ImageBatch:
 # ---------------------------------------------------------------------------
 
 
+def _coordinate_header(d: int) -> list[str]:
+    return ["x", "y"] if d == 2 else [f"x{i}" for i in range(d)]
+
+
 def save_points_csv(path: str | Path, points: PointSet, labels: np.ndarray | None = None) -> None:
     """Write a point set as CSV: columns x,y for d=2 (x0..x{d-1} otherwise)."""
     if labels is not None and len(labels) != points.k:
         raise CountMismatch(f"{points.k} points but {len(labels)} labels")
-    header = ["x", "y"] if points.d == 2 else [f"x{i}" for i in range(points.d)]
+    header = _coordinate_header(points.d)
     if labels is not None:
         header.append("label")
     with open(path, "w", newline="") as f:
@@ -426,9 +383,11 @@ def save_points_csv(path: str | Path, points: PointSet, labels: np.ndarray | Non
 def load_points_csv(path: str | Path) -> tuple[PointSet, np.ndarray | None]:
     """Read a CSV written by :func:`save_points_csv` (label column optional).
 
-    A header without a coordinate column, a row with the wrong column
-    count, a non-numeric or non-finite coordinate, or a label that is not
-    an int64 integer raises :class:`SpecError` naming ``path:line``.
+    The header must be one :func:`save_points_csv` writes: ``x,y`` or
+    ``x0..x{d-1}``, optionally followed by ``label``.  Any other header, a
+    row with the wrong column count, a non-numeric or non-finite
+    coordinate, or a label that is not an int64 integer raises
+    :class:`SpecError` naming ``path:line``.
     """
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -436,10 +395,13 @@ def load_points_csv(path: str | Path) -> tuple[PointSet, np.ndarray | None]:
             header = next(reader)
         except StopIteration:
             raise TruncatedFile(f"{path}: empty CSV") from None
-        has_label = header and header[-1].strip().lower() == "label"
-        ncols = len(header) - (1 if has_label else 0)
+        has_label = header[-1:] == ["label"]
+        ncols = len(header) - has_label
         if ncols < 1:
             raise SpecError(f"{path}:1: header {header} names no coordinate column")
+        expected = _coordinate_header(ncols)
+        if header[:ncols] != expected:
+            raise SpecError(f"{path}:1: header {header} is not {expected} with an optional trailing label")
         rows, labels = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:

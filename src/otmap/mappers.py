@@ -21,6 +21,7 @@ constant in the network weights, so no gradient flows through the solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -52,7 +53,8 @@ _PENALTY_BLOCK = 256
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Uniform symmetric noise prior on [low, high)^dim."""
+    """Uniform noise prior on [low, high)^dim; low < high, both finite and
+    with a finite width, else :class:`SpecError`."""
 
     dim: int
     low: float = -1.0
@@ -62,8 +64,10 @@ class PriorSpec:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise SpecError(f"prior dim must be >= 1, got {self.dim}")
-        if not self.low < self.high:
-            raise SpecError(f"prior needs low < high, got [{self.low}, {self.high})")
+        # Non-finite bounds give a NaN or infinite width; an overflowing width
+        # makes the uniform draw itself overflow.
+        if not (self.low < self.high and math.isfinite(self.high - self.low)):
+            raise SpecError(f"prior needs finite low < high with a finite width, got [{self.low}, {self.high})")
 
 
 def sample_prior(spec: PriorSpec, k: int, rng: np.random.Generator | None = None) -> PointSet:
@@ -101,10 +105,10 @@ class TrainConfig:
             raise SpecError(f"steps must be >= 1, got {self.steps}")
         if self.batch_k < 1:
             raise SpecError(f"batch_k must be >= 1, got {self.batch_k}")
-        if self.lr <= 0:
-            raise SpecError(f"lr must be positive, got {self.lr}")
-        if self.lambda_div < 0:
-            raise SpecError(f"lambda_div must be >= 0, got {self.lambda_div}")
+        if not 0 < self.lr < math.inf:
+            raise SpecError(f"lr must be finite and positive, got {self.lr}")
+        if not 0 <= self.lambda_div < math.inf:
+            raise SpecError(f"lambda_div must be finite and >= 0, got {self.lambda_div}")
         if self.trace_every < 0:
             raise SpecError(f"trace_every must be >= 0, got {self.trace_every}")
 

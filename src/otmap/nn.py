@@ -25,7 +25,7 @@ import json
 import zipfile
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from math import prod
+from math import inf, prod
 from pathlib import Path
 
 import numpy as np
@@ -303,8 +303,10 @@ _ADAM_BLOCK = 65536
 class AdamState:
     """First/second moment buffers plus the step counter.
 
-    ``m`` and ``v`` are laid out like the net's parameters; lists of
-    (weight, bias) pairs are packed into :class:`ParamGrads` on construction.
+    ``m`` and ``v`` are :class:`ParamGrads` laid out like the net's
+    parameters.  ``t`` must be an integer >= 0, ``beta1`` and ``beta2`` lie
+    in [0, 1) and ``eps`` be finite and positive, else :class:`SpecError`
+    (a beta of 1 would make the bias correction divide by zero).
     """
 
     m: ParamGrads
@@ -316,10 +318,19 @@ class AdamState:
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, ParamGrads):
-            self.m = ParamGrads.packed(self.m, np.asarray(self.m[0][0]).dtype)
-        if not isinstance(self.v, ParamGrads):
-            self.v = ParamGrads.packed(self.v, self.m.flat.dtype)
+        if not (isinstance(self.m, ParamGrads) and isinstance(self.v, ParamGrads)):
+            raise SpecError(f"Adam moments must be ParamGrads, got {type(self.m).__name__}, {type(self.v).__name__}")
+        # JSON true/false load as bool, an int subclass; neither is a count or a rate.
+        number = lambda x: isinstance(x, (int, float)) and not isinstance(x, bool)
+        if not (
+            number(self.t) and isinstance(self.t, int) and self.t >= 0
+            and all(number(b) and 0 <= b < 1 for b in (self.beta1, self.beta2))
+            and number(self.eps) and 0 < self.eps < inf
+        ):
+            raise SpecError(
+                f"invalid Adam state t={self.t!r}, beta1={self.beta1!r}, beta2={self.beta2!r}, "
+                f"eps={self.eps!r}: needs an integer t >= 0, 0 <= beta1, beta2 < 1 and a finite eps > 0"
+            )
         self.scratch = np.empty((2, min(self.m.flat.size, _ADAM_BLOCK)), dtype=self.m.flat.dtype)
 
 
@@ -331,13 +342,16 @@ def init_adam(net: Mlp, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1
 def adam_step(net: Mlp, grads: ParamGrads, state: AdamState, lr: float) -> tuple[Mlp, AdamState]:
     """One bias-corrected Adam update, in place; returns the updated pair.
 
-    ``grads`` holds one (dW, db) pair per layer, each of its parameter's
-    shape; pairs that are not one :class:`ParamGrads` of the net's dtype are
-    first copied into one.  Raises :class:`NonFiniteGradient` before
-    touching any parameter if a gradient entry is NaN or infinite.
+    ``grads`` is a :class:`ParamGrads` (else :class:`SpecError`) with one
+    (dW, db) pair per layer, each of its parameter's shape; one of another
+    dtype is first copied into the net's.  ``lr`` must be finite and
+    positive, else :class:`SpecError`.  Raises :class:`NonFiniteGradient`
+    before touching any parameter if a gradient entry is NaN or infinite.
     """
-    if lr <= 0:
-        raise SpecError(f"learning rate must be positive, got {lr}")
+    if not 0 < lr < inf:
+        raise SpecError(f"learning rate must be finite and positive, got {lr}")
+    if not isinstance(grads, ParamGrads):
+        raise SpecError(f"gradients must be ParamGrads, got {type(grads).__name__}")
     if len(grads) != len(net.layers):
         raise SizeMismatch(f"got {len(grads)} gradient pairs for {len(net.layers)} layers")
     for i, ((gw, gb), (w_shape, b_shape)) in enumerate(zip(grads, net.shapes)):
@@ -347,7 +361,7 @@ def adam_step(net: Mlp, grads: ParamGrads, state: AdamState, lr: float) -> tuple
             )
     if state.m.flat.shape != net.params.shape or state.v.flat.shape != net.params.shape:
         raise SizeMismatch(f"Adam moments hold {state.m.flat.size} entries, the net {net.param_count}")
-    if not (isinstance(grads, ParamGrads) and grads.flat.dtype == net.dtype):
+    if grads.flat.dtype != net.dtype:
         grads = ParamGrads.packed(grads, net.dtype)
     g = grads.flat
     # min and max propagate NaN, so two reductions stand in for a mask.
@@ -446,18 +460,6 @@ def _checked(data, key: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndar
     return arr
 
 
-def _valid_adam_settings(t: object, beta1: object, beta2: object, eps: object) -> bool:
-    # JSON true/false load as bool, an int subclass; neither is a count or a rate.
-    def number(x: object) -> bool:
-        return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-    return (
-        number(t) and isinstance(t, int) and t >= 0
-        and all(number(b) and 0 <= b < 1 for b in (beta1, beta2))
-        and number(eps) and np.isfinite(eps) and eps > 0
-    )
-
-
 def _read_meta(data, path: str | Path) -> tuple[np.dtype, list[LayerSpec], dict | None, dict]:
     # The checkpoint's JSON header as (dtype, layer specs, Adam settings or
     # None, extra); any missing or mistyped entry is a SpecError naming the file.
@@ -478,11 +480,6 @@ def _read_meta(data, path: str | Path) -> tuple[np.dtype, list[LayerSpec], dict 
         ]
         a = meta["adam"]
         adam = None if a is None else {key: a[key] for key in ("t", "beta1", "beta2", "eps")}
-        if adam is not None and not _valid_adam_settings(**adam):
-            raise SpecError(
-                f"{path}: invalid Adam state {adam}: needs an integer t >= 0, "
-                "0 <= beta1, beta2 < 1 and a finite eps > 0"
-            )
         return np.dtype(meta["dtype"]), specs, adam, meta["extra"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"{path}: malformed checkpoint metadata: {exc!r}") from exc
@@ -519,14 +516,20 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         ]
         net = Mlp(layers=layers)
 
-        def moments(prefix: str) -> list[tuple[np.ndarray, np.ndarray]]:
-            return [
-                (_checked(data, f"{prefix}w{i}", l.weight.shape, dtype),
-                 _checked(data, f"{prefix}b{i}", l.bias.shape, dtype))
-                for i, l in enumerate(layers)
-            ]
+        def moments(prefix: str) -> ParamGrads:
+            return ParamGrads.packed(
+                [
+                    (_checked(data, f"{prefix}w{i}", l.weight.shape, dtype),
+                     _checked(data, f"{prefix}b{i}", l.bias.shape, dtype))
+                    for i, l in enumerate(layers)
+                ],
+                dtype,
+            )
 
         adam = None
         if adam_meta is not None:
-            adam = AdamState(m=moments("m"), v=moments("v"), **adam_meta)
+            try:
+                adam = AdamState(m=moments("m"), v=moments("v"), **adam_meta)
+            except SpecError as exc:
+                raise SpecError(f"{path}: {exc}") from exc
         return CheckpointBundle(net=net, adam=adam, extra=extra)

@@ -169,7 +169,8 @@ def _warm_start(
     0.05 and 0.01 times the mean reduced cost, 5 sweeps each.  A stage whose
     potentials come out non-finite (a zero or overflowing mean, an
     underflowing kernel) is dropped, and so are the later ones.  ``buf``
-    holds each stage's kernel in turn; no other k x k array is made.
+    holds each stage's kernel in turn, and is rebuilt once at the end of
+    each stage; no other k x k array is made.
     """
     k = buf.shape[0]
     f = buf.min(axis=1)
@@ -180,9 +181,7 @@ def _warm_start(
         scale = buf.mean()
         for frac in (0.2, 0.05, 0.01):
             eps = frac * scale
-            # Stabilised kernel exp(-(C - f - g) / eps), rebuilt in place.
-            rebuild(buf, f)
-            buf -= g
+            # Stabilised kernel exp(-(C - f - g) / eps), in place over C - f - g.
             buf *= -1.0 / eps
             np.exp(buf, out=buf)
             v = np.ones(k)
@@ -192,11 +191,13 @@ def _warm_start(
             # Written over u and v, so only f and g outlive the stage.
             f_next = np.add(f, eps * np.log(u), out=u)
             g_next = np.add(g, eps * np.log(v), out=v)
-            if not (np.isfinite(f_next).all() and np.isfinite(g_next).all()):
+            finite = np.isfinite(f_next).all() and np.isfinite(g_next).all()
+            if finite:
+                f, g = f_next, g_next
+            rebuild(buf, f)
+            buf -= g
+            if not finite:
                 break
-            f, g = f_next, g_next
-    rebuild(buf, f)
-    buf -= g
     return f, g
 
 

@@ -16,12 +16,10 @@ from otmap.datasets import (
     SyntheticSpec,
     load_idx,
     load_points_csv,
-    make_circles,
     make_glyphs,
     make_moons,
     save_idx,
     save_points_csv,
-    synthetic_labels,
 )
 from otmap.errors import BadMagic, CountMismatch, InvalidCount, SpecError, TruncatedFile
 from otmap.ot import PointSet, ot_divergence
@@ -40,8 +38,10 @@ class TestMoons:
         assert (lower[:, 1] <= 0.5 + 1e-9).all()
 
     def test_odd_split_counts(self):
-        labels = synthetic_labels(SyntheticSpec(SyntheticKind.MOONS, n=3))
-        assert (labels == 0).sum() == 2 and (labels == 1).sum() == 1
+        # The upper arc (unit circle about the origin) takes the extra point, first.
+        pts = make_moons(SyntheticSpec(SyntheticKind.MOONS, n=3, noise_sd=0.0, scale=1.0)).data
+        on_upper = np.isclose(np.linalg.norm(pts, axis=1), 1.0) & (pts[:, 1] >= 0)
+        assert on_upper.tolist() == [True, True, False]
 
     def test_scale_multiplies_coordinates(self):
         base = SyntheticSpec(SyntheticKind.MOONS, n=50, seed=4, scale=1.0)
@@ -52,44 +52,16 @@ class TestMoons:
         spec = SyntheticSpec(SyntheticKind.MOONS, n=100, seed=7)
         assert np.array_equal(make_moons(spec).data, make_moons(spec).data)
 
-    def test_kind_guard(self):
-        with pytest.raises(SpecError):
-            make_moons(SyntheticSpec(SyntheticKind.CIRCLES, n=4))
-
 
 class TestCircles:
-    def test_noiseless_radii(self):
-        spec = SyntheticSpec(SyntheticKind.CIRCLES, n=10, noise_sd=0.0, factor=0.5, seed=1, scale=1.0)
-        pts = make_circles(spec).data
-        radii = np.linalg.norm(pts, axis=1)
-        np.testing.assert_allclose(radii[:5], 1.0, atol=1e-9)
-        np.testing.assert_allclose(radii[5:], 0.5, atol=1e-9)
-
     def test_nearly_coincident_rings_have_tiny_divergence(self):
         # Same angles on both rings: the only transport left is the radial
-        # gap of 1 - factor.
+        # gap of 0.001.
         n = 500
         angles = np.random.default_rng(5).uniform(0, 2 * np.pi, n)
         ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         div = ot_divergence(PointSet(ring), PointSet(0.999 * ring))
         assert div == pytest.approx(0.001, rel=1e-6)
-        # With independent angles the residual is angular sampling noise;
-        # still far below the genuinely separated factor=0.5 geometry.
-        spec = SyntheticSpec(
-            SyntheticKind.CIRCLES, n=2000, noise_sd=0.0, factor=0.999, seed=5, scale=1.0
-        )
-        pts = make_circles(spec).data
-        near = ot_divergence(PointSet(pts[:1000]), PointSet(pts[1000:]))
-        assert near < 0.06  # frozen oracle value 0.0464 at this seed
-        far_spec = SyntheticSpec(
-            SyntheticKind.CIRCLES, n=2000, noise_sd=0.0, factor=0.5, seed=5, scale=1.0
-        )
-        far_pts = make_circles(far_spec).data
-        assert near < 0.2 * ot_divergence(PointSet(far_pts[:1000]), PointSet(far_pts[1000:]))
-
-    def test_factor_bounds(self):
-        with pytest.raises(SpecError):
-            SyntheticSpec(SyntheticKind.CIRCLES, n=4, factor=1.0)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -101,7 +73,7 @@ class TestCircles:
 
     def test_zero_points_rejected(self):
         with pytest.raises(InvalidCount):
-            SyntheticSpec(SyntheticKind.CIRCLES, n=0)
+            SyntheticSpec(SyntheticKind.MOONS, n=0)
 
     @pytest.mark.parametrize("n", [2.5, "4", None])
     def test_non_integer_count_rejected(self, n):
@@ -284,9 +256,8 @@ class TestImageBatch:
 
 class TestPointsCsv:
     def test_round_trip_2d_with_labels(self, tmp_path):
-        spec = SyntheticSpec(SyntheticKind.MOONS, n=25, seed=9)
-        pts = make_moons(spec)
-        labels = synthetic_labels(spec)
+        pts = make_moons(SyntheticSpec(SyntheticKind.MOONS, n=25, seed=9))
+        labels = np.arange(25) % 2
         path = tmp_path / "pts.csv"
         save_points_csv(path, pts, labels)
         assert path.read_text().splitlines()[0] == "x,y,label"
@@ -335,4 +306,15 @@ class TestPointsCsv:
         path = tmp_path / "labels.csv"
         path.write_text(f"{header}\n1\n2\n")
         with pytest.raises(SpecError, match=f"{path.name}:1:.*no coordinate column"):
+            load_points_csv(path)
+
+    @pytest.mark.parametrize(
+        "body",
+        ["1.5,2.5\n3.5,4.5\n", "x,label,y\n0.5,1,1.0\n", "x0,x1\n0.5,1.0\n", "x,y,Label\n0.5,1.0,1\n"],
+        ids=["headerless", "label-in-the-middle", "x0-x1-for-2d", "label-capitalised"],
+    )
+    def test_rejects_headers_save_never_writes(self, tmp_path, body):
+        path = tmp_path / "pts.csv"
+        path.write_text(body)
+        with pytest.raises(SpecError, match=f"{path.name}:1:"):
             load_points_csv(path)

@@ -84,6 +84,24 @@ class TestSamplePrior:
         with pytest.raises(SpecError):
             PriorSpec(dim=2, low=1.0, high=-1.0)
 
+    @pytest.mark.parametrize(
+        "low, high",
+        [(-np.inf, 1.0), (-1.0, np.inf), (-np.inf, np.inf), (np.nan, 1.0), (-1.0, np.nan), (-1e308, 1e308)],
+    )
+    def test_rejects_bounds_without_a_finite_width(self, low, high):
+        with pytest.raises(SpecError, match="finite"):
+            PriorSpec(dim=2, low=low, high=high)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lr", v) for v in (np.nan, np.inf, 0.0, -1e-3)] + [("lambda_div", v) for v in (np.nan, np.inf, -0.5)],
+    )
+    def test_rejects_rates_that_are_not_finite_and_in_range(self, field, value):
+        with pytest.raises(SpecError, match=field):
+            TrainConfig(prior=PriorSpec(dim=2), **{field: value})
+
 
 class TestDiversityPenalty:
     def test_identical_sets(self):

@@ -14,9 +14,11 @@ from otmap.errors import NonFiniteGradient, SizeMismatch, SpecError
 from otmap.nn import (
     _ADAM_BLOCK,
     Activation,
+    AdamState,
     Layer,
     LayerSpec,
     Mlp,
+    ParamGrads,
     _activate,
     _activation_backward,
     _forward_cached,
@@ -104,15 +106,20 @@ def reference_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8)
         param -= lr * (mp / c1) / (np.sqrt(vp / c2) + eps)
 
 
-def wide_grads(net: Mlp, rng: np.random.Generator):
+def grads_of(net: Mlp, pairs) -> ParamGrads:
+    """(dW, db) array pairs packed as Adam takes them, in the net's dtype."""
+    return ParamGrads.packed(pairs, net.dtype)
+
+
+def wide_grads(net: Mlp, rng: np.random.Generator) -> ParamGrads:
     """Random gradients whose magnitudes span 1e-3 to 1e3, in the net's dtype."""
-    return [
-        tuple(
-            (rng.normal(size=p.shape) * 10.0 ** rng.uniform(-3, 3, size=p.shape)).astype(net.dtype)
-            for p in (l.weight, l.bias)
-        )
-        for l in net.layers
-    ]
+    return grads_of(
+        net,
+        [
+            tuple(rng.normal(size=p.shape) * 10.0 ** rng.uniform(-3, 3, size=p.shape) for p in (l.weight, l.bias))
+            for l in net.layers
+        ],
+    )
 
 
 class TestInit:
@@ -378,7 +385,7 @@ class TestAdam:
         net = init_mlp([LayerSpec(2, 3)], seed=0)
         before = net.layers[0].weight.copy()
         state = init_adam(net)
-        grads = [(np.zeros_like(net.layers[0].weight), np.zeros_like(net.layers[0].bias))]
+        grads = grads_of(net, [(np.zeros_like(net.layers[0].weight), np.zeros_like(net.layers[0].bias))])
         adam_step(net, grads, state, lr=0.001)
         assert np.array_equal(net.layers[0].weight, before)
         assert state.t == 1
@@ -389,7 +396,7 @@ class TestAdam:
         net = init_mlp([LayerSpec(1, 1, Activation.IDENTITY)], seed=0, dtype=np.float64)
         w0 = float(net.layers[0].weight[0, 0])
         state = init_adam(net)
-        grads = [(np.array([[0.5]]), np.array([0.0]))]
+        grads = grads_of(net, [(np.array([[0.5]]), np.array([0.0]))])
         adam_step(net, grads, state, lr=0.001)
         delta = float(net.layers[0].weight[0, 0]) - w0
         assert delta == pytest.approx(-0.001, rel=1e-6)
@@ -401,11 +408,11 @@ class TestAdam:
         lr = 0.01
         for _ in range(25):
             before = [l.weight.copy() for l in net.layers]
-            grads = [
+            grads = grads_of(net, [
                 (rng.normal(size=l.weight.shape).astype(np.float32) * 10.0 ** rng.integers(-3, 3),
                  rng.normal(size=l.bias.shape).astype(np.float32))
                 for l in net.layers
-            ]
+            ])
             adam_step(net, grads, state, lr=lr)
             for layer, prev in zip(net.layers, before):
                 assert np.abs(layer.weight - prev).max() <= 10 * lr
@@ -413,7 +420,7 @@ class TestAdam:
     def test_non_finite_gradient_aborts(self):
         net = init_mlp([LayerSpec(2, 2)], seed=0)
         state = init_adam(net)
-        grads = [(np.full_like(net.layers[0].weight, np.nan), np.zeros_like(net.layers[0].bias))]
+        grads = grads_of(net, [(np.full_like(net.layers[0].weight, np.nan), np.zeros_like(net.layers[0].bias))])
         with pytest.raises(NonFiniteGradient):
             adam_step(net, grads, state, lr=0.001)
 
@@ -458,10 +465,51 @@ class TestAdam:
     def test_rejects_gradients_of_the_wrong_shape(self):
         net = init_mlp([LayerSpec(2, 3)], seed=0)
         state = init_adam(net)
-        for grads in ([(np.zeros((3, 2)), np.zeros(1))], [(np.zeros((2, 3)), np.zeros(3))]):
+        for pairs in ([(np.zeros((3, 2)), np.zeros(1))], [(np.zeros((2, 3)), np.zeros(3))]):
             with pytest.raises(SizeMismatch):
+                adam_step(net, grads_of(net, pairs), state, lr=1e-3)
+        assert state.t == 0
+
+    def test_rejects_gradients_that_are_not_param_grads(self):
+        net = init_mlp([LayerSpec(2, 3)], seed=0)
+        state = init_adam(net)
+        pairs = [(np.zeros((3, 2), dtype=np.float32), np.zeros(3, dtype=np.float32))]
+        for grads in (pairs, tuple(pairs), np.zeros(9, dtype=np.float32)):
+            with pytest.raises(SpecError, match="ParamGrads"):
                 adam_step(net, grads, state, lr=1e-3)
         assert state.t == 0
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
+    def test_rejects_learning_rates_that_are_not_finite_and_positive(self, lr):
+        net = init_mlp([LayerSpec(2, 3)], seed=0)
+        state = init_adam(net)
+        before = net.params.copy()
+        with pytest.raises(SpecError, match="learning rate"):
+            adam_step(net, wide_grads(net, np.random.default_rng(0)), state, lr=lr)
+        assert_same_bits(net.params, before)
+        assert state.t == 0
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [("beta1", 1.0), ("beta2", 1.0), ("beta1", -0.1), ("beta2", np.nan), ("eps", 0.0), ("eps", np.inf)],
+    )
+    def test_rejects_settings_that_break_the_update(self, key, bad):
+        net = init_mlp([LayerSpec(2, 3)], seed=0)
+        with pytest.raises(SpecError, match=key):
+            init_adam(net, **{key: bad})
+
+    @pytest.mark.parametrize("t", [-1, 2.0, True])
+    def test_rejects_a_step_count_that_is_not_a_count(self, t):
+        net = init_mlp([LayerSpec(2, 3)], seed=0)
+        moments = init_adam(net)
+        with pytest.raises(SpecError, match="integer t"):
+            AdamState(m=moments.m, v=moments.v, t=t)
+
+    def test_rejects_moments_that_are_not_param_grads(self):
+        net = init_mlp([LayerSpec(2, 3)], seed=0)
+        pairs = [(np.zeros((3, 2), dtype=np.float32), np.zeros(3, dtype=np.float32))]
+        with pytest.raises(SpecError, match="ParamGrads"):
+            AdamState(m=pairs, v=pairs)
 
     def test_deterministic_trajectories(self):
         def run():

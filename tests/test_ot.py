@@ -270,7 +270,9 @@ class TestWarmStart:
         reduced, f, g = warm_start_copy(values)
         assert np.isfinite(reduced).all()
         np.testing.assert_array_equal(f, values.min(axis=1))
+        np.testing.assert_array_equal(reduced, values - f[:, None] - g)
         assert_matches_reference(costs)
+
     def test_reduced_costs_plus_potentials_give_back_the_input(self):
         values = noise_to_moons(300, 11)
         reduced, f, g = warm_start_copy(values)
@@ -346,6 +348,22 @@ class TestWarmStart:
             solve_assignment(costs)
         assert costs.values.tobytes() == before
         assert not costs.values.flags.writeable
+
+    def test_lent_buffer_is_rebuilt_once_per_stage(self, monkeypatch):
+        # Three Sinkhorn stages rebuild the lent costs once each; the raw
+        # matrix is rebuilt once more before the solve returns.
+        costs = pairwise_cost(*noise_to_moons_points(PRIVATE_COPY_MAX_K + 1, 19))
+        before = costs.values.tobytes()
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return cdist(*args, **kwargs)
+
+        monkeypatch.setattr(otmap.ot, "cdist", counting)
+        assert_matches_reference(costs)
+        assert calls == ["sqeuclidean"] * 4
+        assert costs.values.tobytes() == before
 
 
 class TestOtDivergence:
