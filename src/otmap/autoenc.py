@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import ImageBatch
-from .errors import SizeMismatch, SpecError
+from .errors import SizeMismatch, SpecError, _count
 from .mappers import TrainConfig, _fit, _frozen_pairs
 from .nn import Activation, LayerSpec, Mlp, _forward_cached, init_mlp
 
@@ -45,10 +45,10 @@ class AutoencoderSpec:
     output_activation: Activation = Activation.SIGMOID
 
     def __post_init__(self) -> None:
-        if self.input_dim < 1 or self.latent_dim < 1:
-            raise SpecError("input_dim and latent_dim must be positive")
-        if any(wd < 1 for wd in self.hidden):
-            raise SpecError(f"hidden widths must be positive, got {self.hidden}")
+        _count(self.input_dim, "input_dim", SpecError)
+        _count(self.latent_dim, "latent_dim", SpecError)
+        for width in self.hidden:
+            _count(width, "hidden width", SpecError)
 
 
 def autoencoder_layer_specs(spec: AutoencoderSpec) -> tuple[list[LayerSpec], list[LayerSpec]]:
@@ -89,12 +89,16 @@ def train_autoencoder(images: ImageBatch, spec: AutoencoderSpec, cfg: TrainConfi
     enc_seed, dec_seed = (int(s.generate_state(1)[0]) for s in init_seq[:2])
     batch_rng = np.random.Generator(np.random.PCG64(init_seq[2]))
     # Joining copies both halves into one parameter vector; theirs are freed here.
-    net = Mlp(init_mlp(enc_specs, seed=enc_seed).layers + init_mlp(dec_specs, seed=dec_seed).layers)
+    net = Mlp(enc_specs + dec_specs, np.concatenate(
+        [init_mlp(enc_specs, seed=enc_seed).params, init_mlp(dec_specs, seed=dec_seed).params]
+    ))
     batch_k = min(cfg.batch_k, images.n)
     batches = _frozen_pairs(images.pixels, images.pixels, batch_k, batch_rng)
     result = _fit(net, cfg, batches, batch_k * spec.input_dim)
-    n_enc = len(enc_specs)
-    return AutoencoderResult(Mlp(net.layers[:n_enc]), Mlp(net.layers[n_enc:]), result.losses)
+    split = sum(l.weight.size + l.bias.size for l in net.layers[: len(enc_specs)])
+    return AutoencoderResult(
+        Mlp(enc_specs, net.params[:split].copy()), Mlp(dec_specs, net.params[split:].copy()), result.losses
+    )
 
 
 def encode(encoder: Mlp, images: ImageBatch) -> PointSet:

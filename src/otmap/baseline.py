@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidCount, ModelError, SpecError
+from .errors import ModelError, SpecError, _count, _seed
 from .ot import PointSet
 
 COV_RIDGE = 1e-6
@@ -19,19 +19,28 @@ COV_RIDGE = 1e-6
 
 @dataclass(frozen=True)
 class ClusterModel:
-    """Mixture of k Gaussians fitted to k-means clusters."""
+    """Mixture of k Gaussians fitted to k-means clusters.
+
+    The three fields are stored as float64 arrays; input that does not
+    convert to one (such as a ragged list) raises :class:`ModelError`.
+    """
 
     weights: np.ndarray  # (k,), >= 0, sums to 1
     means: np.ndarray  # (k, d)
     covariances: np.ndarray  # (k, d, d), symmetric PSD up to -1e-9
 
     def __post_init__(self) -> None:
+        for name in ("weights", "means", "covariances"):
+            try:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            except (TypeError, ValueError) as exc:
+                raise ModelError(f"cluster {name} do not form a float array: {exc}") from None
         if self.means.ndim != 2 or self.covariances.ndim != 3:
             raise ModelError(
                 f"means must be (k, d) and covariances (k, d, d), got shapes "
                 f"{self.means.shape} and {self.covariances.shape}"
             )
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = self.weights
         if w.ndim != 1 or not np.isfinite(w).all() or (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
             raise ModelError("cluster weights must be finite, non-negative and sum to 1")
         if self.means.shape[0] != len(w) or self.covariances.shape[:2] != (len(w), self.means.shape[1]):
@@ -79,14 +88,12 @@ def kmeans_fit(points: PointSet, k: int, max_iters: int = 100, seed: int = 0) ->
     empties is re-seeded at the point farthest from its current centroid.
     Covariances are full sample covariances with a small diagonal ridge.
     """
-    if k < 1:
-        raise InvalidCount(f"need k >= 1 clusters, got {k}")
-    if max_iters < 1:
-        raise InvalidCount(f"need max_iters >= 1 Lloyd iterations, got {max_iters}")
+    k = _count(k, "number of clusters k")
+    _count(max_iters, "max_iters")
     if k > points.k:
         raise SpecError(f"cannot fit {k} clusters to {points.k} points")
     x = points.data
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     centers = _plusplus_seeds(x, k, rng)
     labels = np.full(points.k, -1, dtype=np.int64)
     sse_history: list[float] = []
@@ -140,9 +147,8 @@ def _gaussian_factor(cov: np.ndarray) -> np.ndarray:
 
 def sample_cluster_model(model: ClusterModel, n: int, seed: int = 0) -> PointSet:
     """Draw n points: cluster by weight, then its Gaussian."""
-    if n < 1:
-        raise InvalidCount(f"need n >= 1 samples, got {n}")
-    rng = np.random.default_rng(seed)
+    n = _count(n, "number of samples n")
+    rng = np.random.default_rng(_seed(seed))
     counts = rng.multinomial(n, model.weights)
     factors = [_gaussian_factor(cov) for cov in model.covariances]
     chunks = []

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -27,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, CountMismatch, InvalidCount, SpecError, TruncatedFile
+from .errors import BadMagic, CountMismatch, SpecError, TruncatedFile, _count, _seed
 from .ot import PointSet
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -35,28 +34,6 @@ IDX_LABEL_MAGIC = 0x00000801
 
 # Global scale of every moons sample by default (see module docstring).
 MOONS_SCALE = 3.2232
-
-
-def _count(n: int, what: str) -> int:
-    """``n`` as an int >= 1 (NumPy integers too); :class:`InvalidCount` otherwise."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise InvalidCount(f"need an integer number of {what}, got {n!r}") from None
-    if n < 1:
-        raise InvalidCount(f"need n >= 1 {what}, got {n}")
-    return n
-
-
-def _seed(seed: int) -> int:
-    """``seed`` as an int >= 0 (NumPy integers too); :class:`SpecError` otherwise."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise SpecError(f"seed must be an integer, got {seed!r}") from None
-    if seed < 0:
-        raise SpecError(f"seed must be >= 0, got {seed}")
-    return seed
 
 
 class SyntheticKind(Enum):
@@ -67,6 +44,7 @@ class SyntheticKind(Enum):
 class SyntheticSpec:
     """Parameters of one two-moons sample.
 
+    ``kind`` must be ``SyntheticKind.MOONS``, else :class:`SpecError`.
     ``scale`` multiplies the finished coordinates; None picks
     ``MOONS_SCALE``.
     """
@@ -78,7 +56,9 @@ class SyntheticSpec:
     scale: float | None = None
 
     def __post_init__(self) -> None:
-        _count(self.n, "points")
+        if self.kind is not SyntheticKind.MOONS:
+            raise SpecError(f"the only synthetic kind is SyntheticKind.MOONS, got {self.kind!r}")
+        _count(self.n, "number of points")
         _seed(self.seed)
         if not 0.0 <= self.noise_sd < math.inf:
             raise SpecError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
@@ -315,7 +295,7 @@ def make_glyphs(n: int, seed: int = 0) -> ImageBatch:
     Raises :class:`InvalidCount` unless ``n`` is an integer >= 1 and
     :class:`SpecError` unless ``seed`` is a non-negative integer.
     """
-    n = _count(n, "glyphs")
+    n = _count(n, "number of glyphs")
     rng = np.random.default_rng(_seed(seed))
     digits = rng.integers(0, 10, size=n)
     zooms = rng.integers(3, 6, size=n)  # glyph sizes 9x15 .. 15x25

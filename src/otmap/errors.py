@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its count and seed checks.
 
 Every error raised on a contract violation derives from :class:`OtmapError`,
 so a caller can catch every package failure with one ``except`` clause
@@ -6,6 +6,8 @@ without enumerating modules.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 class OtmapError(Exception):
@@ -54,3 +56,20 @@ class TruncatedFile(OtmapError):
 
 class CountMismatch(OtmapError):
     """Image and label files disagree on the number of items."""
+
+
+def _count(n: int, what: str, error: type[OtmapError] = InvalidCount, least: int = 1) -> int:
+    """``n`` as an int >= ``least`` (NumPy integers too); ``error`` naming ``what`` otherwise."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        pass
+    else:
+        if n >= least:
+            return n
+    raise error(f"need an integer {what} >= {least}, got {n!r}")
+
+
+def _seed(seed: int) -> int:
+    """``seed`` as an int >= 0 (NumPy integers too); :class:`SpecError` otherwise."""
+    return _count(seed, "seed", SpecError, least=0)

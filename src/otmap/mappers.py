@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import InvalidCost, InvalidCount, OtmapError, SizeMismatch, SpecError, TooFewPoints
+from .errors import InvalidCost, OtmapError, SizeMismatch, SpecError, TooFewPoints, _count, _seed
 from .nn import (
     Mlp,
     ParamGrads,
@@ -62,8 +62,8 @@ class PriorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise SpecError(f"prior dim must be >= 1, got {self.dim}")
+        _count(self.dim, "prior dim", SpecError)
+        _seed(self.seed)
         # Non-finite bounds give a NaN or infinite width; an overflowing width
         # makes the uniform draw itself overflow.
         if not (self.low < self.high and math.isfinite(self.high - self.low)):
@@ -76,8 +76,7 @@ def sample_prior(spec: PriorSpec, k: int, rng: np.random.Generator | None = None
     A fresh call without ``rng`` always starts from ``spec.seed``; trainers
     pass their own stream so successive draws advance.
     """
-    if k < 1:
-        raise InvalidCount(f"need k >= 1 prior samples, got {k}")
+    k = _count(k, "number of prior samples k")
     if rng is None:
         rng = np.random.default_rng(spec.seed)
     return PointSet(rng.uniform(spec.low, spec.high, size=(k, spec.dim)))
@@ -101,16 +100,14 @@ class TrainConfig:
     trace_every: int = 0  # 0 disables feedback traces
 
     def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise SpecError(f"steps must be >= 1, got {self.steps}")
-        if self.batch_k < 1:
-            raise SpecError(f"batch_k must be >= 1, got {self.batch_k}")
+        _count(self.steps, "steps", SpecError)
+        _count(self.batch_k, "batch_k", SpecError)
+        _seed(self.seed)
+        _count(self.trace_every, "trace_every", SpecError, least=0)
         if not 0 < self.lr < math.inf:
             raise SpecError(f"lr must be finite and positive, got {self.lr}")
         if not 0 <= self.lambda_div < math.inf:
             raise SpecError(f"lambda_div must be finite and >= 0, got {self.lambda_div}")
-        if self.trace_every < 0:
-            raise SpecError(f"trace_every must be >= 0, got {self.trace_every}")
 
 
 @dataclass(frozen=True)
@@ -198,8 +195,6 @@ def diversity_penalty(p: PointSet, z: PointSet) -> tuple[float, np.ndarray]:
 
 def generate(net: Mlp, prior: PriorSpec, n: int, rng: np.random.Generator | None = None) -> PointSet:
     """Push n fresh prior samples through the network."""
-    if n < 1:
-        raise InvalidCount(f"need n >= 1 generated points, got {n}")
     return forward(net, sample_prior(prior, n, rng))
 
 
@@ -225,11 +220,10 @@ def pool_sampler(
     pool: PointSet, batch_k: int, seed: int
 ) -> Callable[[], PointSet]:
     """Epoch-style batch source: without replacement, reshuffled when spent."""
-    if batch_k < 1:
-        raise SpecError(f"batch_k must be >= 1, got {batch_k}")
+    batch_k = _count(batch_k, "batch_k", SpecError)
     if batch_k > pool.k:
         raise SpecError(f"batch_k ({batch_k}) exceeds pool size ({pool.k})")
-    batches = _epoch_indices(pool.k, batch_k, np.random.default_rng(seed))
+    batches = _epoch_indices(pool.k, batch_k, np.random.default_rng(_seed(seed)))
     return lambda: PointSet(pool.data[next(batches)])
 
 

@@ -5,14 +5,16 @@ are (weight, bias, activation) triples, gradients are computed by hand, and
 the only optimizer is Adam with bias correction.  No autodiff graph, no
 convolutions.
 
-Storage is flat.  An :class:`Mlp` keeps all its weights and biases in one
-contiguous vector, ``params``, laid out layer after layer as the weight
-(row-major) then the bias; each layer's ``weight`` and ``bias`` are views
-into it.  Backward writes every gradient into one fresh vector of the same
-layout (a :class:`ParamGrads`), Adam keeps its two moments as two more, and
-one Adam update is a fixed sequence of in-place operations over those
-vectors.  The arithmetic is that of the textbook per-array forms, operation
-for operation, so the flat layout changes no result bit.
+A network is its layer specs plus one flat vector.  An :class:`Mlp`
+keeps all its weights and biases in one contiguous vector, ``params``,
+laid out layer after layer as the weight (row-major) then the bias;
+:class:`ParamGrads` is the one place that knows that layout, and each
+layer's ``weight`` and ``bias`` are its views into ``params``.  Backward
+writes every gradient into a vector of the same layout (the trainers reuse
+one across steps), Adam keeps its two moments as two more, and one Adam
+update is a fixed sequence of in-place operations over those vectors.  The
+arithmetic is that of the textbook per-array forms, operation for
+operation, so the flat layout changes no result bit.
 
 Training tensors default to float32; gradient-check tests build float64
 networks via the ``dtype`` argument.  All operations are deterministic for
@@ -23,14 +25,15 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import InitVar, dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from math import inf, prod
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteGradient, SizeMismatch, SpecError
+from .errors import NonFiniteGradient, SizeMismatch, SpecError, _count
 from .ot import PointSet
 
 
@@ -54,14 +57,13 @@ class LayerSpec:
     slope: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise SpecError(f"layer dims must be positive, got {self.in_dim} -> {self.out_dim}")
+        _count(self.in_dim, "layer in_dim", SpecError)
+        _count(self.out_dim, "layer out_dim", SpecError)
         if not (0.0 < self.slope < 1.0):
             raise SpecError(f"leaky slope must lie in (0, 1), got {self.slope}")
 
 
-@dataclass
-class Layer:
+class Layer(NamedTuple):
     """One dense layer: weight (out, in), bias (out,), and its spec."""
 
     weight: np.ndarray
@@ -72,17 +74,24 @@ class Layer:
 Shapes = list[tuple[tuple[int, ...], tuple[int, ...]]]
 
 
+def _shapes(specs) -> Shapes:
+    return [((s.out_dim, s.in_dim), (s.out_dim,)) for s in specs]
+
+
 class ParamGrads(tuple):
     """One (weight-shaped, bias-shaped) array pair per layer, in layer order.
 
     Every array is a view into ``flat``, one contiguous vector laid out like
-    :attr:`Mlp.params`.  Backward returns gradients in this form and
-    :class:`AdamState` keeps its moments in it.
+    :attr:`Mlp.params`; a vector of another size raises :class:`SizeMismatch`.
+    A network's layers, its gradients and :class:`AdamState`'s moments all
+    take this form.
     """
 
     flat: np.ndarray
 
     def __new__(cls, flat: np.ndarray, shapes: Shapes) -> ParamGrads:
+        if flat.size != sum(prod(w) + prod(b) for w, b in shapes):
+            raise SizeMismatch(f"a {flat.size}-entry vector does not hold layers of shapes {shapes}")
         pairs, pos = [], 0
         for w_shape, b_shape in shapes:
             w = flat[pos : pos + prod(w_shape)].reshape(w_shape)
@@ -90,8 +99,6 @@ class ParamGrads(tuple):
             b = flat[pos : pos + prod(b_shape)].reshape(b_shape)
             pos += b.size
             pairs.append((w, b))
-        if pos != flat.size:
-            raise SizeMismatch(f"a {flat.size}-entry vector does not hold layers of shapes {shapes}")
         self = super().__new__(cls, pairs)
         self.flat = flat
         return self
@@ -104,70 +111,56 @@ class ParamGrads(tuple):
         return cls(flat, [(w.shape, b.shape) for w, b in zip(arrays[::2], arrays[1::2])])
 
 
-@dataclass
+@dataclass(eq=False)
 class Mlp:
-    """Feed-forward network parameters.
+    """A network: its layer specs plus one flat parameter vector.
 
-    Construction packs the layers' arrays into the flat vector ``params``
-    and rebinds each ``weight`` and ``bias`` to a view into it: change them
-    in place (``layer.weight[:] = ...``), since a rebound array would no
-    longer be the one training updates.  Every array must have its spec's
-    shape and the first weight's dtype, and each layer's input dimension
-    the previous layer's output dimension, else :class:`SpecError` (or
-    :class:`SizeMismatch` for an array of the wrong shape).
+    ``params`` must be a 1-D, C-contiguous, writable float vector holding
+    exactly the specs' weights and biases; the net adopts it without a copy.
+    ``layers`` holds one :class:`Layer` per spec whose ``weight`` and
+    ``bias`` are views into ``params``, so writing either (in place) or
+    ``params`` changes the same numbers.  No specs, or specs whose input
+    dimension is not the previous output dimension, raise
+    :class:`SpecError`, as does a vector of another kind; a vector of
+    another length raises :class:`SizeMismatch`.
 
     Mutable training state: a single trainer owns an Mlp at a time.
     Forward passes on an Mlp nobody is mutating are safe from any thread.
     """
 
-    layers: list[Layer]
-    params: np.ndarray = field(init=False, repr=False, compare=False)
-    # init_mlp draws straight into a packed vector; when the layers' arrays
-    # are that vector's views, it becomes ``params`` without another copy.
-    _packed: InitVar[ParamGrads | None] = None
+    specs: tuple[LayerSpec, ...]
+    params: np.ndarray = field(repr=False)
+    layers: tuple[Layer, ...] = field(init=False, repr=False)
 
-    def __post_init__(self, _packed: ParamGrads | None = None) -> None:
-        if not self.layers:
+    def __post_init__(self) -> None:
+        self.specs = tuple(self.specs)
+        if not self.specs:
             raise SpecError("a network needs at least one layer")
-        for prev, cur in zip(self.layers, self.layers[1:]):
-            if prev.spec.out_dim != cur.spec.in_dim:
+        for prev, cur in zip(self.specs, self.specs[1:]):
+            if prev.out_dim != cur.in_dim:
                 raise SpecError(
-                    f"layer dims do not chain: {prev.spec.in_dim}->{prev.spec.out_dim} followed by "
-                    f"{cur.spec.in_dim}->{cur.spec.out_dim}"
+                    f"layer dims do not chain: {prev.in_dim}->{prev.out_dim} followed by "
+                    f"{cur.in_dim}->{cur.out_dim}"
                 )
-        dtype = self.layers[0].weight.dtype
-        for i, l in enumerate(self.layers):
-            if l.weight.dtype != dtype or l.bias.dtype != dtype:
-                raise SpecError(f"layer {i} arrays are {l.weight.dtype}/{l.bias.dtype}, expected {dtype}")
-            if l.weight.shape != (l.spec.out_dim, l.spec.in_dim) or l.bias.shape != (l.spec.out_dim,):
-                raise SizeMismatch(
-                    f"layer {i} arrays have shapes {l.weight.shape}, {l.bias.shape} "
-                    f"for a {l.spec.in_dim} -> {l.spec.out_dim} layer"
-                )
-        pairs = [(l.weight, l.bias) for l in self.layers]
-        ids = lambda arrays: [(id(w), id(b)) for w, b in arrays]
-        if _packed is None or ids(_packed) != ids(pairs):
-            _packed = ParamGrads.packed(pairs, dtype)
-        self.params = _packed.flat
-        for layer, (w, b) in zip(self.layers, _packed):
-            layer.weight, layer.bias = w, b
+        p = self.params
+        # On a strided vector reshape would copy, and the layers would stop being views.
+        if not (
+            isinstance(p, np.ndarray) and p.ndim == 1 and p.dtype.kind == "f"
+            and p.flags.c_contiguous and p.flags.writeable
+        ):
+            raise SpecError("params must be a 1-D, C-contiguous, writable float vector")
+        self.layers = tuple(Layer(w, b, s) for (w, b), s in zip(ParamGrads(p, self.shapes), self.specs))
 
-    # A copy or an unpickled net gets its own flat vector: the layers' arrays
-    # arrive as separate copies and are packed again.
-    def __getstate__(self) -> dict:
-        return {"layers": self.layers}
-
-    def __setstate__(self, state: dict) -> None:
-        self.layers = state["layers"]
-        self.__post_init__()
+    def __reduce__(self) -> tuple[type[Mlp], tuple]:
+        return Mlp, (self.specs, self.params)
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0].spec.in_dim
+        return self.specs[0].in_dim
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].spec.out_dim
+        return self.specs[-1].out_dim
 
     @property
     def dtype(self) -> np.dtype:
@@ -179,23 +172,23 @@ class Mlp:
 
     @property
     def shapes(self) -> Shapes:
-        return [(l.weight.shape, l.bias.shape) for l in self.layers]
+        return _shapes(self.specs)
 
 
 def init_mlp(specs: list[LayerSpec], seed: int, dtype: type = np.float32) -> Mlp:
     """Build a network with uniform fan-in-scaled weights and zero biases.
 
     Weights are drawn uniformly from +-sqrt(6 / fan_in) (He-style scaling
-    for the LeakyReLU stacks used here).  Deterministic per seed.
+    for the LeakyReLU stacks used here), layer by layer.  Deterministic per
+    seed.
     """
     rng = np.random.default_rng(seed)
-    shapes = [((spec.out_dim, spec.in_dim), (spec.out_dim,)) for spec in specs]
-    packed = ParamGrads(np.zeros(sum(prod(w) + prod(b) for w, b in shapes), dtype=dtype), shapes)
-    for spec, (w, _) in zip(specs, packed):
-        bound = np.sqrt(6.0 / spec.in_dim)
-        # The float64 draw is cast once, straight into the packed vector.
-        w[...] = rng.uniform(-bound, bound, size=w.shape)
-    return Mlp([Layer(weight=w, bias=b, spec=spec) for spec, (w, b) in zip(specs, packed)], packed)
+    net = Mlp(specs, np.zeros(sum(prod(w) + prod(b) for w, b in _shapes(specs)), dtype=dtype))
+    for layer in net.layers:
+        bound = np.sqrt(6.0 / layer.spec.in_dim)
+        # The float64 draw is cast once, straight into the flat vector.
+        layer.weight[...] = rng.uniform(-bound, bound, size=layer.weight.shape)
+    return net
 
 
 # Both activations are computed without np.where or masked copies: with a
@@ -342,8 +335,9 @@ def init_adam(net: Mlp, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1
 def adam_step(net: Mlp, grads: ParamGrads, state: AdamState, lr: float) -> tuple[Mlp, AdamState]:
     """One bias-corrected Adam update, in place; returns the updated pair.
 
-    ``grads`` is a :class:`ParamGrads` (else :class:`SpecError`) with one
-    (dW, db) pair per layer, each of its parameter's shape; one of another
+    ``grads`` is a :class:`ParamGrads` (else :class:`SpecError`) laid out
+    like the net's parameters, one (dW, db) pair per layer of its
+    parameter's shape (else :class:`SizeMismatch`); one of another
     dtype is first copied into the net's.  ``lr`` must be finite and
     positive, else :class:`SpecError`.  Raises :class:`NonFiniteGradient`
     before touching any parameter if a gradient entry is NaN or infinite.
@@ -352,13 +346,9 @@ def adam_step(net: Mlp, grads: ParamGrads, state: AdamState, lr: float) -> tuple
         raise SpecError(f"learning rate must be finite and positive, got {lr}")
     if not isinstance(grads, ParamGrads):
         raise SpecError(f"gradients must be ParamGrads, got {type(grads).__name__}")
-    if len(grads) != len(net.layers):
-        raise SizeMismatch(f"got {len(grads)} gradient pairs for {len(net.layers)} layers")
-    for i, ((gw, gb), (w_shape, b_shape)) in enumerate(zip(grads, net.shapes)):
-        if np.shape(gw) != w_shape or np.shape(gb) != b_shape:
-            raise SizeMismatch(
-                f"layer {i} gradients have shapes {np.shape(gw)}, {np.shape(gb)}, expected {w_shape}, {b_shape}"
-            )
+    shapes = [(gw.shape, gb.shape) for gw, gb in grads]
+    if shapes != net.shapes:
+        raise SizeMismatch(f"gradients have shapes {shapes}, expected {net.shapes}")
     if state.m.flat.shape != net.params.shape or state.v.flat.shape != net.params.shape:
         raise SizeMismatch(f"Adam moments hold {state.m.flat.size} entries, the net {net.param_count}")
     if grads.flat.dtype != net.dtype:
@@ -424,15 +414,7 @@ def save_checkpoint(
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "dtype": np.dtype(net.dtype).name,
-        "layers": [
-            {
-                "in_dim": l.spec.in_dim,
-                "out_dim": l.spec.out_dim,
-                "activation": l.spec.activation.value,
-                "slope": l.spec.slope,
-            }
-            for l in net.layers
-        ],
+        "layers": [{**asdict(spec), "activation": spec.activation.value} for spec in net.specs],
         "adam": None
         if adam is None
         else {"t": adam.t, "beta1": adam.beta1, "beta2": adam.beta2, "eps": adam.eps},
@@ -478,6 +460,8 @@ def _read_meta(data, path: str | Path) -> tuple[np.dtype, list[LayerSpec], dict 
             )
             for ls in meta["layers"]
         ]
+        if not specs:
+            raise SpecError(f"{path}: checkpoint has no layers")
         a = meta["adam"]
         adam = None if a is None else {key: a[key] for key in ("t", "beta1", "beta2", "eps")}
         return np.dtype(meta["dtype"]), specs, adam, meta["extra"]
@@ -506,30 +490,21 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise SpecError(f"{path}: not an npz checkpoint: holds a single array")
         dtype, specs, adam_meta, extra = _read_meta(data, path)
-        layers = [
-            Layer(
-                weight=_checked(data, f"w{i}", (spec.out_dim, spec.in_dim), dtype),
-                bias=_checked(data, f"b{i}", (spec.out_dim,), dtype),
-                spec=spec,
-            )
-            for i, spec in enumerate(specs)
-        ]
-        net = Mlp(layers=layers)
 
-        def moments(prefix: str) -> ParamGrads:
+        def packed(prefix: str) -> ParamGrads:
             return ParamGrads.packed(
                 [
-                    (_checked(data, f"{prefix}w{i}", l.weight.shape, dtype),
-                     _checked(data, f"{prefix}b{i}", l.bias.shape, dtype))
-                    for i, l in enumerate(layers)
+                    (_checked(data, f"{prefix}w{i}", w_shape, dtype), _checked(data, f"{prefix}b{i}", b_shape, dtype))
+                    for i, (w_shape, b_shape) in enumerate(_shapes(specs))
                 ],
                 dtype,
             )
 
+        net = Mlp(specs, packed("").flat)
         adam = None
         if adam_meta is not None:
             try:
-                adam = AdamState(m=moments("m"), v=moments("v"), **adam_meta)
+                adam = AdamState(m=packed("m"), v=packed("v"), **adam_meta)
             except SpecError as exc:
                 raise SpecError(f"{path}: {exc}") from exc
         return CheckpointBundle(net=net, adam=adam, extra=extra)

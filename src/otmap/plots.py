@@ -24,54 +24,6 @@ COLOR_PRED = "#9467bd"  # purple
 COLOR_SEGMENT = "#d62728"  # red
 
 
-def _bounds(arrays: list[np.ndarray]) -> tuple[float, float, float, float]:
-    pts = np.concatenate([a for a in arrays if len(a)])
-    xmin, ymin = pts.min(axis=0)
-    xmax, ymax = pts.max(axis=0)
-    span = max(xmax - xmin, ymax - ymin, 1e-9)
-    pad = span * MARGIN_FRAC
-    return xmin - pad, ymin - pad, xmax + pad, ymax + pad
-
-
-class _SvgCanvas:
-    def __init__(self, arrays: list[np.ndarray]) -> None:
-        for a in arrays:
-            if a.ndim != 2 or a.shape[1] != 2:
-                raise SizeMismatch(f"SVG plots take (k, 2) arrays, got shape {a.shape}")
-        self.x0, self.y0, self.x1, self.y1 = _bounds(arrays)
-        self.parts: list[str] = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" height="{CANVAS}" '
-            f'viewBox="0 0 {CANVAS} {CANVAS}">',
-            f'<rect width="{CANVAS}" height="{CANVAS}" fill="white"/>',
-        ]
-
-    def to_px(self, xy: np.ndarray) -> np.ndarray:
-        sx = CANVAS / (self.x1 - self.x0)
-        sy = CANVAS / (self.y1 - self.y0)
-        s = min(sx, sy)
-        px = (xy[:, 0] - self.x0) * s
-        py = CANVAS - (xy[:, 1] - self.y0) * s  # SVG y grows downward
-        return np.stack([px, py], axis=1)
-
-    def add_points(self, xy: np.ndarray, color: str, radius: float = 2.0) -> None:
-        for x, y in self.to_px(xy):
-            self.parts.append(
-                f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius}" fill="{color}" fill-opacity="0.65"/>'
-            )
-
-    def add_segments(self, a: np.ndarray, b: np.ndarray, color: str = COLOR_SEGMENT) -> None:
-        pa, pb = self.to_px(a), self.to_px(b)
-        for (x1, y1), (x2, y2) in zip(pa, pb):
-            self.parts.append(
-                f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-                f'stroke="{color}" stroke-width="1"/>'
-            )
-
-    def write(self, path: str | Path) -> None:
-        self.parts.append("</svg>")
-        Path(path).write_text("\n".join(self.parts))
-
-
 def write_feedback_svg(
     path: str | Path,
     predictions: np.ndarray,
@@ -92,13 +44,32 @@ def write_feedback_svg(
             f"{len(targets)} targets, {len(perm)} matches"
         )
     arrays = [predictions, targets] + ([np.asarray(noise, dtype=np.float64)] if noise is not None else [])
-    canvas = _SvgCanvas(arrays)
-    canvas.add_segments(predictions, targets[np.asarray(perm)])
-    canvas.add_points(targets, COLOR_REAL)
-    canvas.add_points(predictions, COLOR_PRED)
-    if noise is not None:
-        canvas.add_points(np.asarray(noise, dtype=np.float64), COLOR_NOISE)
-    canvas.write(path)
+    for a in arrays:
+        if a.ndim != 2 or a.shape[1] != 2:
+            raise SizeMismatch(f"SVG plots take (k, 2) arrays, got shape {a.shape}")
+    # One scale for both axes: the padded bounding box of every point fits the canvas.
+    pts = np.concatenate([a for a in arrays if len(a)])
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    pad = max(hi[0] - lo[0], hi[1] - lo[1], 1e-9) * MARGIN_FRAC
+    x0, y0, x1, y1 = lo[0] - pad, lo[1] - pad, hi[0] + pad, hi[1] + pad
+    scale = min(CANVAS / (x1 - x0), CANVAS / (y1 - y0))
+    to_px = lambda xy: zip((xy[:, 0] - x0) * scale, CANVAS - (xy[:, 1] - y0) * scale)  # SVG y grows downward
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" height="{CANVAS}" '
+        f'viewBox="0 0 {CANVAS} {CANVAS}">',
+        f'<rect width="{CANVAS}" height="{CANVAS}" fill="white"/>',
+    ]
+    for (xa, ya), (xb, yb) in zip(to_px(predictions), to_px(targets[np.asarray(perm)])):
+        parts.append(
+            f'<line x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" y2="{yb:.2f}" stroke="{COLOR_SEGMENT}" stroke-width="1"/>'
+        )
+    for xy, color in [(targets, COLOR_REAL), (predictions, COLOR_PRED)] + [(a, COLOR_NOISE) for a in arrays[2:]]:
+        parts.extend(
+            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.0" fill="{color}" fill-opacity="0.65"/>' for x, y in to_px(xy)
+        )
+    parts.append("</svg>")
+    Path(path).write_text("\n".join(parts))
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,26 @@ class TestSampleClusterModel:
         with pytest.raises(ModelError):
             sample_cluster_model(model, 10, seed=0)
 
+    def test_lists_are_stored_as_float_arrays(self):
+        model = ClusterModel(weights=[1.0], means=[[0.0]], covariances=[[[1.0]]])
+        for arr in (model.weights, model.means, model.covariances):
+            assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+        assert sample_cluster_model(model, 3, seed=0).k == 3
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"weights": [1.0], "means": [[0.0], [1.0, 2.0]], "covariances": [[[1.0]]]},
+            {"weights": [0.5, [0.5]], "means": [[0.0]], "covariances": [[[1.0]]]},
+            {"weights": [1.0], "means": [[0.0]], "covariances": [[[1.0]], [[1.0, 0.0]]]},
+            {"weights": [1.0], "means": [[0.0]], "covariances": [[1.0]]},
+        ],
+        ids=["ragged-means", "ragged-weights", "ragged-covariances", "covariances-of-rank-2"],
+    )
+    def test_rejects_ragged_or_misranked_input(self, fields):
+        with pytest.raises(ModelError):
+            ClusterModel(**fields)
+
     def test_zero_count_rejected(self):
         model = ClusterModel(
             weights=np.array([1.0]), means=np.array([[0.0]]), covariances=np.array([[[1.0]]])

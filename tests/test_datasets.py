@@ -75,6 +75,11 @@ class TestCircles:
         with pytest.raises(InvalidCount):
             SyntheticSpec(SyntheticKind.MOONS, n=0)
 
+    @pytest.mark.parametrize("kind", ["circles", "moons", None])
+    def test_kind_must_be_moons(self, kind):
+        with pytest.raises(SpecError, match="MOONS"):
+            SyntheticSpec(kind, 4)
+
     @pytest.mark.parametrize("n", [2.5, "4", None])
     def test_non_integer_count_rejected(self, n):
         with pytest.raises(InvalidCount):

@@ -15,7 +15,6 @@ from otmap.nn import (
     _ADAM_BLOCK,
     Activation,
     AdamState,
-    Layer,
     LayerSpec,
     Mlp,
     ParamGrads,
@@ -178,32 +177,45 @@ class TestFlatStorage:
                 pos += arr.size
         assert pos == net.param_count
 
-    def test_packs_separate_arrays(self):
-        rng = np.random.default_rng(2)
-        w0, b0 = rng.normal(size=(3, 2)), rng.normal(size=3)
-        w1, b1 = rng.normal(size=(1, 3)), rng.normal(size=1)
-        net = Mlp([Layer(w0, b0, LayerSpec(2, 3)), Layer(w1, b1, LayerSpec(3, 1))])
-        np.testing.assert_array_equal(net.params, np.concatenate([w0.ravel(), b0, w1.ravel(), b1]))
-        assert not np.shares_memory(net.layers[0].weight, w0)
-        net.params[0] = 42.0
+    def test_adopts_its_vector_without_a_copy(self):
+        specs = (LayerSpec(2, 3), LayerSpec(3, 1))
+        v = np.arange(13, dtype=np.float64)
+        net = Mlp(specs, v)
+        assert net.params is v and net.specs == specs
+        np.testing.assert_array_equal(net.layers[1].weight, [[9.0, 10.0, 11.0]])
+        v[0] = 42.0
         assert net.layers[0].weight[0, 0] == 42.0
 
-    def test_rejects_inconsistent_layers(self):
-        spec = LayerSpec(2, 3)
-        with pytest.raises(SizeMismatch):
-            Mlp([Layer(np.zeros((2, 3)), np.zeros(3), spec)])
-        with pytest.raises(SizeMismatch):
-            Mlp([Layer(np.zeros((3, 2)), np.zeros(1), spec)])
-        with pytest.raises(SpecError):
-            Mlp([Layer(np.zeros((3, 2)), np.zeros(3, dtype=np.float32), spec)])
-        with pytest.raises(SpecError):
-            Mlp([])
+    def test_rejects_no_specs(self):
+        with pytest.raises(SpecError, match="at least one layer"):
+            Mlp((), np.zeros(0))
 
-    def test_rejects_unchained_layers(self):
-        layers = [Layer(np.zeros((3, 2)), np.zeros(3), LayerSpec(2, 3)),
-                  Layer(np.zeros((2, 9)), np.zeros(2), LayerSpec(9, 2))]
+    def test_rejects_unchained_specs(self):
         with pytest.raises(SpecError, match="chain"):
-            Mlp(layers)
+            Mlp((LayerSpec(2, 3), LayerSpec(9, 2)), np.zeros(9 + 20))
+
+    @pytest.mark.parametrize(
+        "vector",
+        [
+            np.zeros((1, 9)),
+            np.zeros(9, dtype=np.int64),
+            np.zeros(18)[::2],
+            np.zeros(9).tolist(),
+            "read-only",
+        ],
+        ids=["2-d", "integer", "strided", "list", "read-only"],
+    )
+    def test_rejects_vectors_it_cannot_view(self, vector):
+        if isinstance(vector, str):
+            vector = np.zeros(9)
+            vector.setflags(write=False)
+        with pytest.raises(SpecError, match="params"):
+            Mlp((LayerSpec(2, 3),), vector)
+
+    @pytest.mark.parametrize("size", [8, 10])
+    def test_rejects_a_vector_of_the_wrong_length(self, size):
+        with pytest.raises(SizeMismatch):
+            Mlp((LayerSpec(2, 3),), np.zeros(size))
 
     @pytest.mark.parametrize("clone", [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
                              ids=["deepcopy", "pickle"])
@@ -470,6 +482,15 @@ class TestAdam:
                 adam_step(net, grads_of(net, pairs), state, lr=1e-3)
         assert state.t == 0
 
+    def test_rejects_gradients_of_the_right_size_but_the_wrong_layout(self):
+        net = init_mlp([LayerSpec(2, 3), LayerSpec(3, 1)], seed=0)
+        state = init_adam(net)
+        shapes = [((2, 3), (3,)), ((1, 3), (1,))], [((3, 3), (0,)), ((1, 3), (1,))], [((3, 2), (3,)), ((4,), (0,))]
+        for layout in shapes:
+            with pytest.raises(SizeMismatch):
+                adam_step(net, ParamGrads(np.zeros(net.param_count, dtype=net.dtype), layout), state, lr=1e-3)
+        assert state.t == 0
+
     def test_rejects_gradients_that_are_not_param_grads(self):
         net = init_mlp([LayerSpec(2, 3)], seed=0)
         state = init_adam(net)
@@ -661,7 +682,7 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "damage", ["no-meta", "layer-without-slope", "not-npz", "empty", "truncated", "single-array"]
+        "damage", ["no-meta", "layer-without-slope", "no-layers", "not-npz", "empty", "truncated", "single-array"]
     )
     def test_rejects_malformed_file_naming_it(self, tmp_path, damage):
         net = init_mlp([LayerSpec(2, 4), LayerSpec(4, 2, Activation.IDENTITY)], seed=0)
@@ -671,6 +692,8 @@ class TestCheckpoints:
             self._rewrite(path, meta=None)
         elif damage == "layer-without-slope":
             self._rewrite(path, lambda meta: meta["layers"][0].pop("slope"))
+        elif damage == "no-layers":
+            self._rewrite(path, lambda meta: meta.update(layers=[]), w0=None, b0=None, w1=None, b1=None)
         elif damage == "not-npz":
             path.write_text("in_dim,out_dim\n2,4\n")
         elif damage == "empty":
