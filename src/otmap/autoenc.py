@@ -76,7 +76,7 @@ def train_autoencoder(images: ImageBatch, spec: AutoencoderSpec, cfg: TrainConfi
 
     Batches sweep the image set without replacement, reshuffling each
     epoch.  Deterministic per cfg.seed.  A non-finite gradient raises
-    :class:`NonFiniteGradient` before either half's parameters change.
+    :class:`otmap.errors.NonFiniteGradient` before either half's parameters change.
     """
     if images.n < 1:
         raise SpecError("cannot train on an empty image batch")
@@ -88,14 +88,13 @@ def train_autoencoder(images: ImageBatch, spec: AutoencoderSpec, cfg: TrainConfi
     init_seq = np.random.SeedSequence(cfg.seed).spawn(3)
     enc_seed, dec_seed = (int(s.generate_state(1)[0]) for s in init_seq[:2])
     batch_rng = np.random.Generator(np.random.PCG64(init_seq[2]))
-    # Joining copies both halves into one parameter vector; theirs are freed here.
-    net = Mlp(enc_specs + dec_specs, np.concatenate(
-        [init_mlp(enc_specs, seed=enc_seed).params, init_mlp(dec_specs, seed=dec_seed).params]
-    ))
+    encoder = init_mlp(enc_specs, seed=enc_seed)
+    # Joining copies both halves into one parameter vector; the decoder's is freed here.
+    net = Mlp(enc_specs + dec_specs, np.concatenate([encoder.params, init_mlp(dec_specs, seed=dec_seed).params]))
     batch_k = min(cfg.batch_k, images.n)
     batches = _frozen_pairs(images.pixels, images.pixels, batch_k, batch_rng)
     result = _fit(net, cfg, batches, batch_k * spec.input_dim)
-    split = sum(l.weight.size + l.bias.size for l in net.layers[: len(enc_specs)])
+    split = encoder.param_count
     return AutoencoderResult(
         Mlp(enc_specs, net.params[:split].copy()), Mlp(dec_specs, net.params[split:].copy()), result.losses
     )

@@ -292,7 +292,7 @@ def make_glyphs(n: int, seed: int = 0) -> ImageBatch:
     ``scipy.ndimage.gaussian_filter(canvas, sigma)`` (truncate 4,
     ``mode="reflect"``), and finally clips to [0, 1].  The images are built
     in batches of the same radius instead, with the same arithmetic.
-    Raises :class:`InvalidCount` unless ``n`` is an integer >= 1 and
+    Raises :class:`otmap.errors.InvalidCount` unless ``n`` is an integer >= 1 and
     :class:`SpecError` unless ``seed`` is a non-negative integer.
     """
     n = _count(n, "number of glyphs")

@@ -145,14 +145,12 @@ class TrainResult:
 
     Both mappers fill it from the same training step.  ``losses`` holds
     the training objective per step (squared cost plus any weighted
-    diversity term); ``matched_dist`` the mean Euclidean distance over that
-    step's matched pairs, a cheap running divergence estimate; ``traces``
-    the OTGen feedback snapshots (empty for OTTrans).
+    diversity term); ``traces`` the OTGen feedback snapshots (empty for
+    OTTrans).
     """
 
     net: Mlp
     losses: np.ndarray
-    matched_dist: np.ndarray
     traces: list[FeedbackTrace] = field(default_factory=list)
 
 
@@ -227,14 +225,12 @@ def pool_sampler(
     return lambda: PointSet(pool.data[next(batches)])
 
 
-def _squared_cost_and_grad(
-    pred: np.ndarray, target: np.ndarray, divisor: int
-) -> tuple[float, np.ndarray, np.ndarray]:
-    # sum_i ||pred_i - target_i||^2 / divisor, its gradient wrt pred, and the
-    # float64 difference pred - target both are built from.
+def _squared_cost_and_grad(pred: np.ndarray, target: np.ndarray, divisor: int) -> tuple[float, np.ndarray]:
+    # sum_i ||pred_i - target_i||^2 / divisor and its gradient wrt pred, both
+    # built from the float64 difference pred - target.
     diff = pred.astype(np.float64) - target
     loss = float(np.einsum("ij,ij->", diff, diff) / divisor)
-    return loss, (2.0 / divisor) * diff, diff
+    return loss, (2.0 / divisor) * diff
 
 
 def _fit(net: Mlp, cfg: TrainConfig, batches: Iterator[tuple[np.ndarray, Callable]], divisor: int) -> TrainResult:
@@ -251,19 +247,17 @@ def _fit(net: Mlp, cfg: TrainConfig, batches: Iterator[tuple[np.ndarray, Callabl
     # Reused every step: a fresh 4.3 MB autoencoder gradient came back from malloc as new pages.
     grads = ParamGrads(np.empty_like(net.params), net.shapes)
     losses = np.empty(cfg.steps)
-    dists = np.empty(cfg.steps)
     for step, (x, pair) in zip(range(cfg.steps), batches):
         out, cache = _forward_cached(net, x)
         y, extra = pair(out)
-        loss, out_grad, diff = _squared_cost_and_grad(out, y, divisor)
+        loss, out_grad = _squared_cost_and_grad(out, y, divisor)
         if extra is not None:
             loss += extra[0]
             out_grad = out_grad + extra[1]
         _backward_from_cache(net, cache, out_grad, grads)
         adam_step(net, grads, adam, cfg.lr)
         losses[step] = loss
-        dists[step] = float(np.linalg.norm(diff, axis=1).mean())
-    return TrainResult(net=net, losses=losses, matched_dist=dists)
+    return TrainResult(net=net, losses=losses)
 
 
 def _check_mapper(cfg: TrainConfig, net: Mlp) -> PriorSpec:

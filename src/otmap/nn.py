@@ -48,7 +48,8 @@ class LayerSpec:
     """Shape and nonlinearity of one dense layer.
 
     ``slope`` is the negative-side slope of LeakyReLU and is ignored by the
-    other activations; it must lie in (0, 1).
+    other activations; it must lie in (0, 1).  The dims are stored as
+    ``int`` and the slope as ``float``, so NumPy scalars save to a checkpoint.
     """
 
     in_dim: int
@@ -57,10 +58,11 @@ class LayerSpec:
     slope: float = 0.01
 
     def __post_init__(self) -> None:
-        _count(self.in_dim, "layer in_dim", SpecError)
-        _count(self.out_dim, "layer out_dim", SpecError)
+        object.__setattr__(self, "in_dim", _count(self.in_dim, "layer in_dim", SpecError))
+        object.__setattr__(self, "out_dim", _count(self.out_dim, "layer out_dim", SpecError))
         if not (0.0 < self.slope < 1.0):
             raise SpecError(f"leaky slope must lie in (0, 1), got {self.slope}")
+        object.__setattr__(self, "slope", float(self.slope))
 
 
 class Layer(NamedTuple):
@@ -78,6 +80,10 @@ def _shapes(specs) -> Shapes:
     return [((s.out_dim, s.in_dim), (s.out_dim,)) for s in specs]
 
 
+def _size(shapes: Shapes) -> int:
+    return sum(prod(w) + prod(b) for w, b in shapes)
+
+
 class ParamGrads(tuple):
     """One (weight-shaped, bias-shaped) array pair per layer, in layer order.
 
@@ -90,7 +96,7 @@ class ParamGrads(tuple):
     flat: np.ndarray
 
     def __new__(cls, flat: np.ndarray, shapes: Shapes) -> ParamGrads:
-        if flat.size != sum(prod(w) + prod(b) for w, b in shapes):
+        if flat.size != _size(shapes):
             raise SizeMismatch(f"a {flat.size}-entry vector does not hold layers of shapes {shapes}")
         pairs, pos = [], 0
         for w_shape, b_shape in shapes:
@@ -183,7 +189,7 @@ def init_mlp(specs: list[LayerSpec], seed: int, dtype: type = np.float32) -> Mlp
     seed.
     """
     rng = np.random.default_rng(seed)
-    net = Mlp(specs, np.zeros(sum(prod(w) + prod(b) for w, b in _shapes(specs)), dtype=dtype))
+    net = Mlp(specs, np.zeros(_size(_shapes(specs)), dtype=dtype))
     for layer in net.layers:
         bound = np.sqrt(6.0 / layer.spec.in_dim)
         # The float64 draw is cast once, straight into the flat vector.
@@ -290,6 +296,8 @@ def backward(net: Mlp, batch: PointSet, output_grad: np.ndarray) -> ParamGrads:
 # slices of the five vectors it touches then stay in cache between the
 # update's operations, and the scratch needs only two rows of this size.
 _ADAM_BLOCK = 65536
+# Adam's decay rates and denominator offset: Kingma & Ba's (2015) defaults.
+_B1, _B2, _EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -297,39 +305,26 @@ class AdamState:
     """First/second moment buffers plus the step counter.
 
     ``m`` and ``v`` are :class:`ParamGrads` laid out like the net's
-    parameters.  ``t`` must be an integer >= 0, ``beta1`` and ``beta2`` lie
-    in [0, 1) and ``eps`` be finite and positive, else :class:`SpecError`
-    (a beta of 1 would make the bias correction divide by zero).
+    parameters.  ``t`` must be an integer >= 0, else :class:`SpecError`.
     """
 
     m: ParamGrads
     v: ParamGrads
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (isinstance(self.m, ParamGrads) and isinstance(self.v, ParamGrads)):
             raise SpecError(f"Adam moments must be ParamGrads, got {type(self.m).__name__}, {type(self.v).__name__}")
-        # JSON true/false load as bool, an int subclass; neither is a count or a rate.
-        number = lambda x: isinstance(x, (int, float)) and not isinstance(x, bool)
-        if not (
-            number(self.t) and isinstance(self.t, int) and self.t >= 0
-            and all(number(b) and 0 <= b < 1 for b in (self.beta1, self.beta2))
-            and number(self.eps) and 0 < self.eps < inf
-        ):
-            raise SpecError(
-                f"invalid Adam state t={self.t!r}, beta1={self.beta1!r}, beta2={self.beta2!r}, "
-                f"eps={self.eps!r}: needs an integer t >= 0, 0 <= beta1, beta2 < 1 and a finite eps > 0"
-            )
+        # JSON true/false load as bool, an int subclass, which is no count.
+        if not (isinstance(self.t, int) and not isinstance(self.t, bool) and self.t >= 0):
+            raise SpecError(f"invalid Adam step count t={self.t!r}: needs an integer t >= 0")
         self.scratch = np.empty((2, min(self.m.flat.size, _ADAM_BLOCK)), dtype=self.m.flat.dtype)
 
 
-def init_adam(net: Mlp, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def init_adam(net: Mlp) -> AdamState:
     zeros = lambda: ParamGrads(np.zeros_like(net.params), net.shapes)
-    return AdamState(m=zeros(), v=zeros(), beta1=beta1, beta2=beta2, eps=eps)
+    return AdamState(m=zeros(), v=zeros())
 
 
 def adam_step(net: Mlp, grads: ParamGrads, state: AdamState, lr: float) -> tuple[Mlp, AdamState]:
@@ -359,9 +354,8 @@ def adam_step(net: Mlp, grads: ParamGrads, state: AdamState, lr: float) -> tuple
         bad = next(i for i, (gw, gb) in enumerate(grads) if not (np.isfinite(gw).all() and np.isfinite(gb).all()))
         raise NonFiniteGradient(f"non-finite gradient in layer {bad} at Adam step {state.t + 1}")
     state.t += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
+    c1 = 1.0 - _B1 ** state.t
+    c2 = 1.0 - _B2 ** state.t
     p, m, v = net.params, state.m.flat, state.v.flat
     for lo in range(0, p.size, _ADAM_BLOCK):
         hi = lo + _ADAM_BLOCK
@@ -369,18 +363,18 @@ def adam_step(net: Mlp, grads: ParamGrads, state: AdamState, lr: float) -> tuple
         num, den = state.scratch[:, : pb.size]
         # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g^2;
         # param -= lr*(m/c1) / (sqrt(v/c2) + eps), operation for operation.
-        mb *= b1
-        np.multiply(gb, 1.0 - b1, out=num)
+        mb *= _B1
+        np.multiply(gb, 1.0 - _B1, out=num)
         mb += num
-        vb *= b2
+        vb *= _B2
         np.square(gb, out=num)
-        num *= 1.0 - b2
+        num *= 1.0 - _B2
         vb += num
         np.divide(mb, c1, out=num)
         num *= lr
         np.divide(vb, c2, out=den)
         np.sqrt(den, out=den)
-        den += eps
+        den += _EPS
         num /= den
         pb -= num
     return net, state
@@ -391,7 +385,7 @@ def adam_step(net: Mlp, grads: ParamGrads, state: AdamState, lr: float) -> tuple
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_FORMAT = "otmap-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -400,35 +394,24 @@ class CheckpointBundle:
 
     net: Mlp
     adam: AdamState | None = None
-    extra: dict = field(default_factory=dict)
 
 
-def save_checkpoint(
-    path: str | Path,
-    net: Mlp,
-    adam: AdamState | None = None,
-    extra: dict | None = None,
-) -> None:
-    """Write a versioned .npz checkpoint; round-trips bit-exactly."""
+def save_checkpoint(path: str | Path, net: Mlp, adam: AdamState | None = None) -> None:
+    """Write a versioned .npz checkpoint; round-trips bit-exactly.
+
+    The archive holds ``meta``, a JSON header with the dtype, the layer
+    specs and Adam's step count; ``params``, the net's flat vector; and,
+    when ``adam`` is given, its two moments as the vectors ``m`` and ``v``.
+    """
     meta = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "dtype": np.dtype(net.dtype).name,
+        "dtype": net.dtype.name,
         "layers": [{**asdict(spec), "activation": spec.activation.value} for spec in net.specs],
-        "adam": None
-        if adam is None
-        else {"t": adam.t, "beta1": adam.beta1, "beta2": adam.beta2, "eps": adam.eps},
-        "extra": extra or {},
+        "adam": None if adam is None else {"t": adam.t},
     }
-    arrays: dict[str, np.ndarray] = {}
-    for i, layer in enumerate(net.layers):
-        arrays[f"w{i}"] = layer.weight
-        arrays[f"b{i}"] = layer.bias
-    if adam is not None:
-        for i, ((mw, mb), (vw, vb)) in enumerate(zip(adam.m, adam.v)):
-            arrays[f"mw{i}"], arrays[f"mb{i}"] = mw, mb
-            arrays[f"vw{i}"], arrays[f"vb{i}"] = vw, vb
-    np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
+    moments = {} if adam is None else {"m": adam.m.flat, "v": adam.v.flat}
+    np.savez(path, meta=np.array(json.dumps(meta)), params=net.params, **moments)
 
 
 def _checked(data, key: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
@@ -442,15 +425,18 @@ def _checked(data, key: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndar
     return arr
 
 
-def _read_meta(data, path: str | Path) -> tuple[np.dtype, list[LayerSpec], dict | None, dict]:
-    # The checkpoint's JSON header as (dtype, layer specs, Adam settings or
-    # None, extra); any missing or mistyped entry is a SpecError naming the file.
+def _read_meta(data, path: str | Path) -> tuple[np.dtype, list[LayerSpec], int | None]:
+    # The checkpoint's JSON header as (float dtype, layer specs, Adam's t or
+    # None); any missing or mistyped entry is a SpecError naming the file.
     try:
         meta = json.loads(str(data["meta"]))
         if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
             raise SpecError(f"{path}: not an otmap checkpoint")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise SpecError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+        dtype = np.dtype(meta["dtype"])
+        if dtype.kind != "f":
+            raise SpecError(f"{path}: checkpoint dtype {dtype} is not a float type")
         specs = [
             LayerSpec(
                 in_dim=ls["in_dim"],
@@ -463,8 +449,7 @@ def _read_meta(data, path: str | Path) -> tuple[np.dtype, list[LayerSpec], dict 
         if not specs:
             raise SpecError(f"{path}: checkpoint has no layers")
         a = meta["adam"]
-        adam = None if a is None else {key: a[key] for key in ("t", "beta1", "beta2", "eps")}
-        return np.dtype(meta["dtype"]), specs, adam, meta["extra"]
+        return dtype, specs, None if a is None else a["t"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"{path}: malformed checkpoint metadata: {exc!r}") from exc
 
@@ -472,15 +457,14 @@ def _read_meta(data, path: str | Path) -> tuple[np.dtype, list[LayerSpec], dict 
 def load_checkpoint(path: str | Path) -> CheckpointBundle:
     """Load a checkpoint written by :func:`save_checkpoint`.
 
-    A file that is not an npz archive, or whose metadata is missing or
-    malformed, raises :class:`SpecError` naming the file; so do Adam
-    settings that no run produces (t not an integer >= 0, a beta outside
-    [0, 1), eps not finite and positive).  Every array must
-    have the shape its layer metadata gives (Adam moments that of their
-    parameter) and the dtype ``meta["dtype"]`` names, else
-    :class:`SpecError` naming the array.  The loaded arrays are copied into
-    the net's and the moments' flat vectors.  Keys the metadata carries
-    beyond these (such as an older file's ``rng_state``) are ignored.
+    A file that is not an npz archive, or whose header is missing,
+    malformed, of another format or version, or names a dtype that is not
+    a float type, raises :class:`SpecError` naming the file; so does an
+    Adam step count that is not an integer >= 0.  ``params``, and ``m`` and
+    ``v`` when the header has Adam's step count, must each be a vector of
+    the specs' parameter count in the header's dtype, else
+    :class:`SpecError` naming the array.  The net and the moments adopt the
+    loaded vectors.  Header keys beyond these are ignored.
     """
     with open(path, "rb") as f:
         try:
@@ -489,22 +473,14 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
             raise SpecError(f"{path}: not an npz checkpoint: {exc}") from exc
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise SpecError(f"{path}: not an npz checkpoint: holds a single array")
-        dtype, specs, adam_meta, extra = _read_meta(data, path)
-
-        def packed(prefix: str) -> ParamGrads:
-            return ParamGrads.packed(
-                [
-                    (_checked(data, f"{prefix}w{i}", w_shape, dtype), _checked(data, f"{prefix}b{i}", b_shape, dtype))
-                    for i, (w_shape, b_shape) in enumerate(_shapes(specs))
-                ],
-                dtype,
-            )
-
-        net = Mlp(specs, packed("").flat)
-        adam = None
-        if adam_meta is not None:
-            try:
-                adam = AdamState(m=packed("m"), v=packed("v"), **adam_meta)
-            except SpecError as exc:
-                raise SpecError(f"{path}: {exc}") from exc
-        return CheckpointBundle(net=net, adam=adam, extra=extra)
+        dtype, specs, t = _read_meta(data, path)
+        shape = (_size(_shapes(specs)),)
+        # Arrays read from an npz are fresh, writable and C-contiguous, so they can be adopted.
+        net = Mlp(specs, _checked(data, "params", shape, dtype))
+        if t is None:
+            return CheckpointBundle(net)
+        m, v = (ParamGrads(_checked(data, key, shape, dtype), net.shapes) for key in ("m", "v"))
+        try:
+            return CheckpointBundle(net, AdamState(m, v, t))
+        except SpecError as exc:
+            raise SpecError(f"{path}: {exc}") from exc

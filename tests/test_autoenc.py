@@ -22,6 +22,8 @@ from otmap.nn import (
     adam_step,
     init_adam,
     init_mlp,
+    load_checkpoint,
+    save_checkpoint,
 )
 from otmap.ot import PointSet
 
@@ -230,3 +232,14 @@ class TestEncodeDecode:
         # float32 GEMMs round differently per block size, but a row out of
         # place would be off by the O(1) spread between latents.
         np.testing.assert_allclose(encode(result.encoder, images).data, whole, rtol=1e-4, atol=1e-4)
+
+    def test_halves_reloaded_from_checkpoints_encode_and_decode_bit_for_bit(self, trained, tmp_path):
+        # The hand-off between the two stages: the latent mapper's stage reloads the saved halves.
+        images, result = trained
+        for name, net in (("encoder", result.encoder), ("decoder", result.decoder)):
+            save_checkpoint(tmp_path / f"{name}.npz", net)
+        encoder, decoder = (load_checkpoint(tmp_path / f"{name}.npz").net for name in ("encoder", "decoder"))
+        latents, reloaded = encode(result.encoder, images), encode(encoder, images)
+        assert reloaded.data.dtype == latents.data.dtype and reloaded.data.tobytes() == latents.data.tobytes()
+        want, got = decode(result.decoder, latents).pixels, decode(decoder, reloaded).pixels
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -373,11 +373,11 @@ class TestTrainOtgen:
 
         def objective() -> float:
             o, _ = _forward_cached(net, noise.data)
-            loss, _, _ = _squared_cost_and_grad(o, z.data[sigma.perm], k)
+            loss, _ = _squared_cost_and_grad(o, z.data[sigma.perm], k)
             dval, _ = diversity_penalty(PointSet(o), z)
             return loss + lam * dval
 
-        _, out_grad, _ = _squared_cost_and_grad(out, z.data[sigma.perm], k)
+        _, out_grad = _squared_cost_and_grad(out, z.data[sigma.perm], k)
         _, div_grad = diversity_penalty(PointSet(out), z)
         grads = ParamGrads(np.empty_like(net.params), net.shapes)
         _backward_from_cache(net, cache, out_grad + lam * div_grad, grads)

@@ -510,15 +510,6 @@ class TestAdam:
         assert_same_bits(net.params, before)
         assert state.t == 0
 
-    @pytest.mark.parametrize(
-        "key, bad",
-        [("beta1", 1.0), ("beta2", 1.0), ("beta1", -0.1), ("beta2", np.nan), ("eps", 0.0), ("eps", np.inf)],
-    )
-    def test_rejects_settings_that_break_the_update(self, key, bad):
-        net = init_mlp([LayerSpec(2, 3)], seed=0)
-        with pytest.raises(SpecError, match=key):
-            init_adam(net, **{key: bad})
-
     @pytest.mark.parametrize("t", [-1, 2.0, True])
     def test_rejects_a_step_count_that_is_not_a_count(self, t):
         net = init_mlp([LayerSpec(2, 3)], seed=0)
@@ -556,9 +547,10 @@ class TestCheckpoints:
             x = PointSet(rng.normal(size=(8, 2)))
             adam_step(net, backward(net, x, rng.normal(size=(8, 2))), state, lr=1e-3)
         path = tmp_path / "net.npz"
-        save_checkpoint(path, net, adam=state, extra={"note": "test"})
+        save_checkpoint(path, net, adam=state)
+        with np.load(path) as data:
+            assert sorted(data.files) == ["m", "meta", "params", "v"]
         bundle = load_checkpoint(path)
-        assert bundle.extra == {"note": "test"}
         assert bundle.adam.t == state.t
         for la, lb in zip(net.layers, bundle.net.layers):
             assert la.spec == lb.spec
@@ -598,6 +590,8 @@ class TestCheckpoints:
         net = init_mlp([LayerSpec(2, 2)], seed=0)
         path = tmp_path / "bare.npz"
         save_checkpoint(path, net)
+        with np.load(path) as data:
+            assert sorted(data.files) == ["meta", "params"]
         bundle = load_checkpoint(path)
         assert bundle.adam is None
         assert np.array_equal(bundle.net.layers[0].weight, net.layers[0].weight)
@@ -605,14 +599,14 @@ class TestCheckpoints:
     @pytest.mark.parametrize(
         "key, edit",
         [
-            ("w0", lambda a: a.T.copy()),
-            ("b1", lambda a: a[:-1]),
-            ("w1", lambda a: a.astype(np.float64)),
-            ("mw0", lambda a: a[:, :1]),
-            ("vb1", lambda a: np.zeros(3, dtype=a.dtype)),
-            ("mb0", None),
+            ("params", lambda a: a[:-1]),
+            ("params", lambda a: a[None]),
+            ("params", lambda a: a.astype(np.float64)),
+            ("m", lambda a: a[:1]),
+            ("v", lambda a: np.zeros(3, dtype=a.dtype)),
+            ("m", None),
         ],
-        ids=["weight-shape", "bias-shape", "dtype", "first-moment-shape", "second-moment-shape", "missing"],
+        ids=["params-length", "params-rank", "dtype", "first-moment-shape", "second-moment-shape", "missing"],
     )
     def test_rejects_mismatched_arrays(self, tmp_path, key, edit):
         net = init_mlp([LayerSpec(2, 4), LayerSpec(4, 2, Activation.IDENTITY)], seed=0)
@@ -625,7 +619,7 @@ class TestCheckpoints:
         else:
             arrays[key] = edit(arrays[key])
         np.savez(path, **arrays)
-        with pytest.raises(SpecError, match=key):
+        with pytest.raises(SpecError, match=f"'{key}'"):
             load_checkpoint(path)
 
     def test_rejects_foreign_file(self, tmp_path):
@@ -647,7 +641,7 @@ class TestCheckpoints:
         saved.update(arrays)
         np.savez(path, **{name: a for name, a in saved.items() if a is not None})
 
-    def test_loads_older_file_with_rng_state(self, tmp_path):
+    def test_ignores_unknown_header_keys(self, tmp_path):
         net = init_mlp([LayerSpec(2, 4), LayerSpec(4, 2, Activation.IDENTITY)], seed=0)
         path = tmp_path / "old.npz"
         save_checkpoint(path, net, adam=init_adam(net))
@@ -658,31 +652,37 @@ class TestCheckpoints:
         assert bundle.adam.t == 0
 
     def test_rejects_unchained_layers(self, tmp_path):
-        # Each array matches its own layer's metadata, but 2->3 cannot feed 9->2.
-        net = init_mlp([LayerSpec(2, 3), LayerSpec(3, 2, Activation.IDENTITY)], seed=0)
+        # Swapped, the two layers still hold 15 parameters, but 2->3 cannot feed 2->2.
+        net = init_mlp([LayerSpec(2, 2), LayerSpec(2, 3, Activation.IDENTITY)], seed=0)
         path = tmp_path / "net.npz"
         save_checkpoint(path, net)
-        self._rewrite(
-            path, lambda meta: meta["layers"][1].update(in_dim=9), w1=np.zeros((2, 9), dtype=np.float32)
-        )
+        self._rewrite(path, lambda meta: meta["layers"].reverse())
         with pytest.raises(SpecError, match="chain"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize(
-        "key, bad",
-        [("t", "x"), ("t", -3), ("t", 2.5), ("t", True), ("beta1", 1.5), ("beta2", -0.1),
-         ("beta1", float("nan")), ("eps", -1.0), ("eps", 0.0), ("eps", float("inf"))],
-    )
-    def test_rejects_bad_adam_settings_naming_the_file(self, tmp_path, key, bad):
+    def test_round_trips_numpy_typed_specs(self, tmp_path):
+        specs = [LayerSpec(np.int64(2), np.int32(3), slope=np.float32(0.25)), LayerSpec(np.uint8(3), 1)]
+        net = init_mlp(specs, seed=0)
+        assert all(type(s.in_dim) is type(s.out_dim) is int and type(s.slope) is float for s in net.specs)
+        path = tmp_path / "net.npz"
+        save_checkpoint(path, net)
+        bundle = load_checkpoint(path)
+        assert bundle.net.specs == net.specs == (LayerSpec(2, 3, slope=0.25), LayerSpec(3, 1))
+        assert_same_bits(bundle.net.params, net.params)
+
+    @pytest.mark.parametrize("t", ["x", -3, 2.5, True], ids=lambda t: f"t-{t}")
+    def test_rejects_bad_adam_settings_naming_the_file(self, tmp_path, t):
         net = init_mlp([LayerSpec(2, 4), LayerSpec(4, 2, Activation.IDENTITY)], seed=0)
         path = tmp_path / "net.npz"
         save_checkpoint(path, net, adam=init_adam(net))
-        self._rewrite(path, lambda meta: meta["adam"].update({key: bad}))
+        self._rewrite(path, lambda meta: meta["adam"].update(t=t))
         with pytest.raises(SpecError, match=re.escape(str(path))):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "damage", ["no-meta", "layer-without-slope", "no-layers", "not-npz", "empty", "truncated", "single-array"]
+        "damage",
+        ["no-meta", "layer-without-slope", "no-layers", "int-dtype", "version-1", "not-npz", "empty", "truncated",
+         "single-array"],
     )
     def test_rejects_malformed_file_naming_it(self, tmp_path, damage):
         net = init_mlp([LayerSpec(2, 4), LayerSpec(4, 2, Activation.IDENTITY)], seed=0)
@@ -693,7 +693,13 @@ class TestCheckpoints:
         elif damage == "layer-without-slope":
             self._rewrite(path, lambda meta: meta["layers"][0].pop("slope"))
         elif damage == "no-layers":
-            self._rewrite(path, lambda meta: meta.update(layers=[]), w0=None, b0=None, w1=None, b1=None)
+            self._rewrite(path, lambda meta: meta.update(layers=[]), params=None)
+        elif damage == "int-dtype":
+            self._rewrite(path, lambda meta: meta.update(dtype="int64"), params=np.arange(net.param_count))
+        elif damage == "version-1":
+            # The older format: one array per layer weight and bias.
+            layers = {f"{k}{i}": a for i, l in enumerate(net.layers) for k, a in (("w", l.weight), ("b", l.bias))}
+            self._rewrite(path, lambda meta: meta.update(version=1), params=None, **layers)
         elif damage == "not-npz":
             path.write_text("in_dim,out_dim\n2,4\n")
         elif damage == "empty":

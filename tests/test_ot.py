@@ -447,7 +447,7 @@ class TestAssignmentCostGradient:
         rng = np.random.default_rng(2)
         a = PointSet(rng.normal(size=(6, 2)))
         sigma = Assignment(perm=np.arange(6), total_cost=0.0)
-        _, grad, _ = _squared_cost_and_grad(a.data, a.data[sigma.perm], a.k)
+        _, grad = _squared_cost_and_grad(a.data, a.data[sigma.perm], a.k)
         np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_single_point_closed_form(self):
@@ -466,7 +466,7 @@ class TestAssignmentCostGradient:
             diff = flat.reshape(k, d) - b.data[sigma.perm]
             return float(np.einsum("ij,ij->i", diff, diff).mean())
 
-        _, grad, _ = _squared_cost_and_grad(a_rows, b.data[sigma.perm], k)
+        _, grad = _squared_cost_and_grad(a_rows, b.data[sigma.perm], k)
         h = 1e-6
         flat = a_rows.ravel().copy()
         for idx in range(flat.size):
