@@ -11,7 +11,6 @@ from .datasets import (
 )
 from .errors import OtmapError
 from .mappers import (
-    FeedbackTrace,
     PriorSpec,
     TrainConfig,
     TrainResult,
@@ -50,7 +49,6 @@ __all__ = [
     "AdamState",
     "Assignment",
     "ClusterModel",
-    "FeedbackTrace",
     "ImageBatch",
     "KmeansResult",
     "LayerSpec",

@@ -17,7 +17,6 @@ scales every divergence linearly, so it changes no ranking.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass
@@ -189,28 +188,6 @@ def load_idx(path_images: str | Path, path_labels: str | Path | None = None) -> 
     return ImageBatch(pixels=pixels, h=h, w=w, c=1, labels=labels)
 
 
-def save_idx(
-    path_images: str | Path, images: ImageBatch, path_labels: str | Path | None = None
-) -> None:
-    """Write an ImageBatch back out in IDX3/IDX1 format (c must be 1, labels
-    in 0..255); every check runs before either file is opened."""
-    if images.c != 1:
-        raise SpecError("IDX3 stores single-channel images only")
-    if path_labels is not None:
-        if images.labels is None:
-            raise SpecError("no labels to write")
-        if images.labels.size and not 0 <= images.labels.min() <= images.labels.max() <= 255:
-            raise SpecError(f"IDX1 labels must lie in 0..255, got {images.labels.min()}..{images.labels.max()}")
-    raw = np.clip(np.rint(images.pixels * 255.0), 0, 255).astype(np.uint8)
-    with open(path_images, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, images.n, images.h, images.w))
-        f.write(raw.tobytes())
-    if path_labels is not None:
-        with open(path_labels, "wb") as f:
-            f.write(struct.pack(">II", IDX_LABEL_MAGIC, images.n))
-            f.write(np.asarray(images.labels, dtype=np.uint8).tobytes())
-
-
 # 3x5 digit bitmaps for the synthetic glyph corpus, row-major.
 _GLYPH_FONT = {
     0: "111101101101111",
@@ -332,74 +309,3 @@ def make_glyphs(n: int, seed: int = 0) -> ImageBatch:
     return ImageBatch(
         pixels=pixels, h=_GLYPH_SIDE, w=_GLYPH_SIDE, c=1, labels=digits.astype(np.uint8)
     )
-
-
-# ---------------------------------------------------------------------------
-# Point CSV
-# ---------------------------------------------------------------------------
-
-
-def _coordinate_header(d: int) -> list[str]:
-    return ["x", "y"] if d == 2 else [f"x{i}" for i in range(d)]
-
-
-def save_points_csv(path: str | Path, points: PointSet, labels: np.ndarray | None = None) -> None:
-    """Write a point set as CSV: columns x,y for d=2 (x0..x{d-1} otherwise)."""
-    if labels is not None and len(labels) != points.k:
-        raise CountMismatch(f"{points.k} points but {len(labels)} labels")
-    header = _coordinate_header(points.d)
-    if labels is not None:
-        header.append("label")
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for i in range(points.k):
-            row = [f"{v:.17g}" for v in points.data[i]]
-            if labels is not None:
-                row.append(str(int(labels[i])))
-            writer.writerow(row)
-
-
-def load_points_csv(path: str | Path) -> tuple[PointSet, np.ndarray | None]:
-    """Read a CSV written by :func:`save_points_csv` (label column optional).
-
-    The header must be one :func:`save_points_csv` writes: ``x,y`` or
-    ``x0..x{d-1}``, optionally followed by ``label``.  Any other header, a
-    row with the wrong column count, a non-numeric or non-finite
-    coordinate, or a label that is not an int64 integer raises
-    :class:`SpecError` naming ``path:line``.
-    """
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TruncatedFile(f"{path}: empty CSV") from None
-        has_label = header[-1:] == ["label"]
-        ncols = len(header) - has_label
-        if ncols < 1:
-            raise SpecError(f"{path}:1: header {header} names no coordinate column")
-        expected = _coordinate_header(ncols)
-        if header[:ncols] != expected:
-            raise SpecError(f"{path}:1: header {header} is not {expected} with an optional trailing label")
-        rows, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SpecError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-            try:
-                coords = [float(v) for v in row[:ncols]]
-                label = int(row[-1]) if has_label else 0
-            except ValueError as exc:
-                raise SpecError(f"{path}:{lineno}: {exc}") from exc
-            if not all(math.isfinite(v) for v in coords):
-                raise SpecError(f"{path}:{lineno}: coordinates must be finite, got {row[:ncols]}")
-            if not -(2**63) <= label < 2**63:
-                raise SpecError(f"{path}:{lineno}: label {label} does not fit in int64")
-            rows.append(coords)
-            if has_label:
-                labels.append(label)
-    if not rows:
-        raise TruncatedFile(f"{path}: no data rows")
-    return PointSet(np.asarray(rows)), (np.asarray(labels, dtype=np.int64) if has_label else None)

@@ -22,13 +22,13 @@ constant in the network weights, so no gradient flows through the solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import InvalidCost, OtmapError, SizeMismatch, SpecError, TooFewPoints, _count, _seed
+from .errors import SizeMismatch, SpecError, TooFewPoints, _count, _seed
 from .nn import (
     Mlp,
     ParamGrads,
@@ -39,7 +39,6 @@ from .nn import (
     init_adam,
 )
 from .ot import (
-    Assignment,
     PointSet,
     pairwise_cost,
     solve_assignment,
@@ -87,8 +86,8 @@ class TrainConfig:
     """Hyperparameters of one training run (the cost is squared Euclidean).
 
     ``prior`` is required by the mapper trainers and ignored by the
-    autoencoder trainer; ``lambda_div`` and ``trace_every`` are read by
-    ``train_otgen`` only.  OTTrans's pool is the target set it is given.
+    autoencoder trainer; ``lambda_div`` is read by ``train_otgen`` only.
+    OTTrans's pool is the target set it is given.
     """
 
     prior: PriorSpec | None = None
@@ -97,46 +96,15 @@ class TrainConfig:
     lr: float = 3e-4
     lambda_div: float = 0.0
     seed: int = 0
-    trace_every: int = 0  # 0 disables feedback traces
 
     def __post_init__(self) -> None:
         _count(self.steps, "steps", SpecError)
         _count(self.batch_k, "batch_k", SpecError)
         _seed(self.seed)
-        _count(self.trace_every, "trace_every", SpecError, least=0)
         if not 0 < self.lr < math.inf:
             raise SpecError(f"lr must be finite and positive, got {self.lr}")
         if not 0 <= self.lambda_div < math.inf:
             raise SpecError(f"lambda_div must be finite and >= 0, got {self.lambda_div}")
-
-
-@dataclass(frozen=True)
-class FeedbackTrace:
-    """Snapshot of one training step's assignment feedback, for plotting.
-
-    Noise, predictions, targets and ``sigma`` cover the same k points,
-    predictions and targets share a dimension, and ``sigma.total_cost`` is
-    finite and non-negative; otherwise construction raises
-    :class:`SizeMismatch` or :class:`InvalidCost`.
-    """
-
-    step: int
-    noise: PointSet
-    predictions: PointSet
-    targets: PointSet
-    sigma: Assignment
-    loss: float
-
-    def __post_init__(self) -> None:
-        counts = (self.noise.k, self.predictions.k, self.targets.k, self.sigma.k)
-        if len(set(counts)) != 1:
-            raise SizeMismatch(f"noise, predictions, targets and perm counts differ: {counts}")
-        if self.predictions.d != self.targets.d:
-            raise SizeMismatch(
-                f"predictions are {self.predictions.d}-d but targets are {self.targets.d}-d"
-            )
-        if not (np.isfinite(self.sigma.total_cost) and self.sigma.total_cost >= 0):
-            raise InvalidCost(f"total_cost must be finite and >= 0, got {self.sigma.total_cost}")
 
 
 @dataclass
@@ -145,13 +113,11 @@ class TrainResult:
 
     Both mappers fill it from the same training step.  ``losses`` holds
     the training objective per step (squared cost plus any weighted
-    diversity term); ``traces`` the OTGen feedback snapshots (empty for
-    OTTrans).
+    diversity term).
     """
 
     net: Mlp
     losses: np.ndarray
-    traces: list[FeedbackTrace] = field(default_factory=list)
 
 
 def diversity_penalty(p: PointSet, z: PointSet) -> tuple[float, np.ndarray]:
@@ -302,10 +268,9 @@ def train_otgen(
     """
     prior = _check_mapper(cfg, net)
     prior_rng = _spawn_rngs(cfg.seed, 1)[0]
-    snapshots: list[tuple[int, PointSet, PointSet, PointSet, Assignment]] = []
 
     def rematched() -> Iterator[tuple[np.ndarray, Callable]]:
-        for step in range(cfg.steps):
+        for _ in range(cfg.steps):
             z = target_sampler()
             if z.k != cfg.batch_k:
                 raise SpecError(f"target sampler returned {z.k} points, expected {cfg.batch_k}")
@@ -318,89 +283,12 @@ def train_otgen(
                 if cfg.lambda_div > 0:
                     dval, dgrad = diversity_penalty(preds, z)
                     extra = (cfg.lambda_div * dval, cfg.lambda_div * dgrad)
-                if cfg.trace_every and (step % cfg.trace_every == 0 or step == cfg.steps - 1):
-                    snapshots.append((step, noise, preds, z, sigma))
                 return z.data[sigma.perm], extra
 
             yield noise.data, pair
 
-    result = _fit(net, cfg, rematched(), cfg.batch_k)
-    result.traces = [
-        FeedbackTrace(step, noise, preds, z, sigma, loss=float(result.losses[step]))
-        for step, noise, preds, z, sigma in snapshots
-    ]
-    return result
+    return _fit(net, cfg, rematched(), cfg.batch_k)
 
 
 def _spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
-# ---------------------------------------------------------------------------
-# Feedback trace serialization (a trace feeds plots.write_feedback_svg)
-# ---------------------------------------------------------------------------
-
-
-def feedback_traces_to_json(traces: list[FeedbackTrace]) -> str:
-    """JSON array with one object per trace, in the order given.
-
-    Each object has these keys (k is the trace's batch size, d_in the
-    prior dimension, d the target dimension):
-
-    - ``step``: int, the training step the trace was taken at;
-    - ``loss``: float, that step's training objective;
-    - ``noise``: k x d_in nested list of floats, the prior batch;
-    - ``predictions``: k x d nested list of floats, the network's outputs;
-    - ``targets``: k x d nested list of floats, the target batch;
-    - ``perm``: list of k ints, a permutation of 0..k-1; prediction i is
-      matched to ``targets[perm[i]]``;
-    - ``total_cost``: float, the assignment's total squared Euclidean cost.
-    """
-    import json
-
-    return json.dumps(
-        [
-            {
-                "step": t.step,
-                "loss": t.loss,
-                "noise": t.noise.data.tolist(),
-                "predictions": t.predictions.data.tolist(),
-                "targets": t.targets.data.tolist(),
-                "perm": t.sigma.perm.tolist(),
-                "total_cost": t.sigma.total_cost,
-            }
-            for t in traces
-        ]
-    )
-
-
-def feedback_traces_from_json(text: str) -> list[FeedbackTrace]:
-    """Inverse of :func:`feedback_traces_to_json`; raises SpecError with the
-    offending array index on malformed entries."""
-    import json
-
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"trace file is not valid JSON: {exc}") from exc
-    if not isinstance(raw, list):
-        raise SpecError("trace file must hold a JSON array")
-    traces = []
-    for i, obj in enumerate(raw):
-        try:
-            traces.append(
-                FeedbackTrace(
-                    step=int(obj["step"]),
-                    noise=PointSet(np.asarray(obj["noise"])),
-                    predictions=PointSet(np.asarray(obj["predictions"])),
-                    targets=PointSet(np.asarray(obj["targets"])),
-                    sigma=Assignment(
-                        perm=np.asarray(obj["perm"], dtype=np.int64),
-                        total_cost=float(obj["total_cost"]),
-                    ),
-                    loss=float(obj["loss"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError, OtmapError) as exc:
-            raise SpecError(f"trace entry {i} is malformed: {exc}") from exc
-    return traces

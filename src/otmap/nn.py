@@ -47,9 +47,12 @@ class Activation(Enum):
 class LayerSpec:
     """Shape and nonlinearity of one dense layer.
 
-    ``slope`` is the negative-side slope of LeakyReLU and is ignored by the
-    other activations; it must lie in (0, 1).  The dims are stored as
-    ``int`` and the slope as ``float``, so NumPy scalars save to a checkpoint.
+    ``activation`` is an :class:`Activation` or its value, such as
+    ``"leaky_relu"``; anything else raises :class:`SpecError`.  ``slope``
+    is the negative-side slope of LeakyReLU and is ignored by the other
+    activations; it must lie in (0, 1).  The activation is stored as the
+    :class:`Activation`, the dims as ``int`` and the slope as ``float``, so
+    NumPy scalars save to a checkpoint.
     """
 
     in_dim: int
@@ -60,6 +63,12 @@ class LayerSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "in_dim", _count(self.in_dim, "layer in_dim", SpecError))
         object.__setattr__(self, "out_dim", _count(self.out_dim, "layer out_dim", SpecError))
+        try:
+            object.__setattr__(self, "activation", Activation(self.activation))
+        except ValueError:
+            raise SpecError(
+                f"unknown activation {self.activation!r}, expected one of {[a.value for a in Activation]}"
+            ) from None
         if not (0.0 < self.slope < 1.0):
             raise SpecError(f"leaky slope must lie in (0, 1), got {self.slope}")
         object.__setattr__(self, "slope", float(self.slope))
@@ -425,62 +434,67 @@ def _checked(data, key: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndar
     return arr
 
 
-def _read_meta(data, path: str | Path) -> tuple[np.dtype, list[LayerSpec], int | None]:
+def _read_meta(data) -> tuple[np.dtype, list[LayerSpec], int | None]:
     # The checkpoint's JSON header as (float dtype, layer specs, Adam's t or
-    # None); any missing or mistyped entry is a SpecError naming the file.
+    # None); any missing or mistyped entry is a SpecError.
     try:
         meta = json.loads(str(data["meta"]))
         if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
-            raise SpecError(f"{path}: not an otmap checkpoint")
+            raise SpecError("not an otmap checkpoint")
         if meta.get("version") != CHECKPOINT_VERSION:
-            raise SpecError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+            raise SpecError(f"unsupported checkpoint version {meta.get('version')}")
         dtype = np.dtype(meta["dtype"])
         if dtype.kind != "f":
-            raise SpecError(f"{path}: checkpoint dtype {dtype} is not a float type")
+            raise SpecError(f"checkpoint dtype {dtype} is not a float type")
         specs = [
             LayerSpec(
                 in_dim=ls["in_dim"],
                 out_dim=ls["out_dim"],
-                activation=Activation(ls["activation"]),
+                activation=ls["activation"],
                 slope=ls["slope"],
             )
             for ls in meta["layers"]
         ]
         if not specs:
-            raise SpecError(f"{path}: checkpoint has no layers")
+            raise SpecError("checkpoint has no layers")
         a = meta["adam"]
         return dtype, specs, None if a is None else a["t"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"{path}: malformed checkpoint metadata: {exc!r}") from exc
+        raise SpecError(f"malformed checkpoint metadata: {exc!r}") from exc
 
 
 def load_checkpoint(path: str | Path) -> CheckpointBundle:
     """Load a checkpoint written by :func:`save_checkpoint`.
 
-    A file that is not an npz archive, or whose header is missing,
-    malformed, of another format or version, or names a dtype that is not
-    a float type, raises :class:`SpecError` naming the file; so does an
-    Adam step count that is not an integer >= 0.  ``params``, and ``m`` and
-    ``v`` when the header has Adam's step count, must each be a vector of
-    the specs' parameter count in the header's dtype, else
-    :class:`SpecError` naming the array.  The net and the moments adopt the
-    loaded vectors.  Header keys beyond these are ignored.
+    Each of these faults raises :class:`SpecError` naming the file:
+
+    - the file is not an npz archive;
+    - its header is missing, malformed, of another format or version, or
+      names a dtype that is not a float type;
+    - a layer spec is invalid, or the layers do not chain;
+    - Adam's step count is not an integer >= 0;
+    - ``params``, or ``m`` or ``v`` when the header has Adam's step count,
+      is not a vector of the specs' parameter count in the header's dtype
+      (the error also names the array).
+
+    The net and the moments adopt the loaded vectors.  Header keys beyond
+    these are ignored.
     """
     with open(path, "rb") as f:
         try:
-            data = np.load(f, allow_pickle=False)
-        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-            raise SpecError(f"{path}: not an npz checkpoint: {exc}") from exc
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise SpecError(f"{path}: not an npz checkpoint: holds a single array")
-        dtype, specs, t = _read_meta(data, path)
-        shape = (_size(_shapes(specs)),)
-        # Arrays read from an npz are fresh, writable and C-contiguous, so they can be adopted.
-        net = Mlp(specs, _checked(data, "params", shape, dtype))
-        if t is None:
-            return CheckpointBundle(net)
-        m, v = (ParamGrads(_checked(data, key, shape, dtype), net.shapes) for key in ("m", "v"))
-        try:
+            try:
+                data = np.load(f, allow_pickle=False)
+            except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+                raise SpecError(f"not an npz checkpoint: {exc}") from exc
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise SpecError("not an npz checkpoint: holds a single array")
+            dtype, specs, t = _read_meta(data)
+            shape = (_size(_shapes(specs)),)
+            # Arrays read from an npz are fresh, writable and C-contiguous, so they can be adopted.
+            net = Mlp(specs, _checked(data, "params", shape, dtype))
+            if t is None:
+                return CheckpointBundle(net)
+            m, v = (ParamGrads(_checked(data, key, shape, dtype), net.shapes) for key in ("m", "v"))
             return CheckpointBundle(net, AdamState(m, v, t))
         except SpecError as exc:
             raise SpecError(f"{path}: {exc}") from exc

@@ -21,7 +21,6 @@ CASES = {
     "config-steps": (SpecError, lambda: TrainConfig(steps=2.5)),
     "config-batch_k": (SpecError, lambda: TrainConfig(batch_k=2.5)),
     "config-seed": (SpecError, lambda: TrainConfig(seed=-1)),
-    "config-trace_every": (SpecError, lambda: TrainConfig(trace_every=2.5)),
     "sample_prior": (InvalidCount, lambda: sample_prior(PriorSpec(dim=2), 2.5)),
     "generate": (InvalidCount, lambda: generate(NET, PriorSpec(dim=2), 2.5)),
     "kmeans-k": (InvalidCount, lambda: kmeans_fit(POINTS, 2.5)),

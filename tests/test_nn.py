@@ -143,6 +143,20 @@ class TestInit:
         with pytest.raises(SpecError):
             init_mlp([LayerSpec(3, 4), LayerSpec(5, 2)], seed=0)
 
+    def test_activation_given_by_value_is_the_member(self, tmp_path):
+        by_value = init_mlp([LayerSpec(2, 3, "leaky_relu")], seed=0)
+        by_member = init_mlp([LayerSpec(2, 3, Activation.LEAKY_RELU)], seed=0)
+        x = PointSet(np.random.default_rng(1).normal(size=(8, 2)) * 5.0)
+        assert by_value.specs[0].activation is Activation.LEAKY_RELU
+        assert_same_bits(forward(by_value, x).data, forward(by_member, x).data)
+        save_checkpoint(tmp_path / "net.npz", by_value)
+        assert load_checkpoint(tmp_path / "net.npz").net.specs == by_member.specs
+
+    @pytest.mark.parametrize("activation", ["relu", None])
+    def test_rejects_unknown_activation(self, activation):
+        with pytest.raises(SpecError, match="activation"):
+            LayerSpec(2, 3, activation)
+
     def test_bias_starts_zero(self):
         net = init_mlp([LayerSpec(3, 4)], seed=0)
         assert np.array_equal(net.layers[0].bias, np.zeros(4, dtype=np.float32))
@@ -619,7 +633,7 @@ class TestCheckpoints:
         else:
             arrays[key] = edit(arrays[key])
         np.savez(path, **arrays)
-        with pytest.raises(SpecError, match=f"'{key}'"):
+        with pytest.raises(SpecError, match=f"{re.escape(str(path))}: .*'{key}'"):
             load_checkpoint(path)
 
     def test_rejects_foreign_file(self, tmp_path):
@@ -657,7 +671,7 @@ class TestCheckpoints:
         path = tmp_path / "net.npz"
         save_checkpoint(path, net)
         self._rewrite(path, lambda meta: meta["layers"].reverse())
-        with pytest.raises(SpecError, match="chain"):
+        with pytest.raises(SpecError, match=f"{re.escape(str(path))}: .*chain"):
             load_checkpoint(path)
 
     def test_round_trips_numpy_typed_specs(self, tmp_path):
@@ -681,8 +695,8 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize(
         "damage",
-        ["no-meta", "layer-without-slope", "no-layers", "int-dtype", "version-1", "not-npz", "empty", "truncated",
-         "single-array"],
+        ["no-meta", "layer-without-slope", "bad-dim", "bad-slope", "bad-activation", "no-layers", "int-dtype",
+         "version-1", "not-npz", "empty", "truncated", "single-array"],
     )
     def test_rejects_malformed_file_naming_it(self, tmp_path, damage):
         net = init_mlp([LayerSpec(2, 4), LayerSpec(4, 2, Activation.IDENTITY)], seed=0)
@@ -692,6 +706,12 @@ class TestCheckpoints:
             self._rewrite(path, meta=None)
         elif damage == "layer-without-slope":
             self._rewrite(path, lambda meta: meta["layers"][0].pop("slope"))
+        elif damage == "bad-dim":
+            self._rewrite(path, lambda meta: meta["layers"][0].update(in_dim=-1))
+        elif damage == "bad-slope":
+            self._rewrite(path, lambda meta: meta["layers"][0].update(slope=2.0))
+        elif damage == "bad-activation":
+            self._rewrite(path, lambda meta: meta["layers"][0].update(activation="relu"))
         elif damage == "no-layers":
             self._rewrite(path, lambda meta: meta.update(layers=[]), params=None)
         elif damage == "int-dtype":
