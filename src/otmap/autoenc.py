@@ -34,15 +34,13 @@ _ENCODE_CHUNK = 4096
 class AutoencoderSpec:
     """Widths of the encoder stack; the decoder mirrors it.
 
-    The sigmoid output keeps decoded pixels in [0, 1]; an identity output
-    is allowed for non-pixel data.
+    Hidden layers are LeakyReLU, the latent layer is linear, and the sigmoid
+    output keeps decoded pixels in [0, 1].
     """
 
     input_dim: int
     hidden: tuple[int, ...] = (512, 256)
     latent_dim: int = 8
-    slope: float = 0.01
-    output_activation: Activation = Activation.SIGMOID
 
     def __post_init__(self) -> None:
         _count(self.input_dim, "input_dim", SpecError)
@@ -54,13 +52,12 @@ class AutoencoderSpec:
 def autoencoder_layer_specs(spec: AutoencoderSpec) -> tuple[list[LayerSpec], list[LayerSpec]]:
     """Encoder and decoder layer specs: LeakyReLU hidden stacks, linear
     latent, sigmoid pixels."""
-    leaky = lambda i, o: LayerSpec(i, o, Activation.LEAKY_RELU, spec.slope)
     enc_dims = (spec.input_dim, *spec.hidden)
-    encoder = [leaky(i, o) for i, o in zip(enc_dims, enc_dims[1:])]
+    encoder = [LayerSpec(i, o) for i, o in zip(enc_dims, enc_dims[1:])]
     encoder.append(LayerSpec(enc_dims[-1], spec.latent_dim, Activation.IDENTITY))
     dec_dims = (spec.latent_dim, *reversed(spec.hidden))
-    decoder = [leaky(i, o) for i, o in zip(dec_dims, dec_dims[1:])]
-    decoder.append(LayerSpec(dec_dims[-1], spec.input_dim, spec.output_activation))
+    decoder = [LayerSpec(i, o) for i, o in zip(dec_dims, dec_dims[1:])]
+    decoder.append(LayerSpec(dec_dims[-1], spec.input_dim, Activation.SIGMOID))
     return encoder, decoder
 
 
@@ -113,23 +110,15 @@ def encode(encoder: Mlp, images: ImageBatch) -> PointSet:
     return PointSet(np.concatenate(outs))
 
 
-def decode(decoder: Mlp, latents: PointSet, image_shape: tuple[int, int, int] | None = None) -> ImageBatch:
-    """Map latent vectors back to images; sigmoid output keeps pixels in [0, 1].
+def decode(decoder: Mlp, latents: PointSet) -> ImageBatch:
+    """Map latent vectors back to square images, pixels clipped to [0, 1].
 
-    ``image_shape`` is (h, w, c); by default the output dimension is assumed
-    to be a square single-channel image.
+    The decoder's output dimension must be a square, else :class:`SpecError`.
     """
     if latents.d != decoder.in_dim:
         raise SizeMismatch(f"decoder expects latent dim {decoder.in_dim}, got {latents.d}")
-    if image_shape is None:
-        side = int(round(np.sqrt(decoder.out_dim)))
-        if side * side != decoder.out_dim:
-            raise SpecError(
-                f"output dim {decoder.out_dim} is not square; pass image_shape=(h, w, c)"
-            )
-        image_shape = (side, side, 1)
-    h, w, c = image_shape
-    if h * w * c != decoder.out_dim:
-        raise SizeMismatch(f"image shape {image_shape} inconsistent with output dim {decoder.out_dim}")
+    side = int(round(np.sqrt(decoder.out_dim)))
+    if side * side != decoder.out_dim:
+        raise SpecError(f"output dim {decoder.out_dim} is not a square image")
     pixels, _ = _forward_cached(decoder, latents.data)
-    return ImageBatch(pixels=np.clip(pixels, 0.0, 1.0), h=h, w=w, c=c)
+    return ImageBatch(pixels=np.clip(pixels, 0.0, 1.0), h=side, w=side)

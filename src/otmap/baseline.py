@@ -15,6 +15,8 @@ from .errors import ModelError, SpecError, _count, _seed
 from .ot import PointSet
 
 COV_RIDGE = 1e-6
+# Lloyd iterations before k-means stops without converging.
+MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -81,15 +83,14 @@ def _plusplus_seeds(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def kmeans_fit(points: PointSet, k: int, max_iters: int = 100, seed: int = 0) -> KmeansResult:
+def kmeans_fit(points: PointSet, k: int, seed: int = 0) -> KmeansResult:
     """Lloyd's algorithm with k-means++ seeding, then per-cluster Gaussians.
 
-    Stops when no assignment changes or after ``max_iters``.  A cluster that
+    Stops when no assignment changes or after ``MAX_ITERS``.  A cluster that
     empties is re-seeded at the point farthest from its current centroid.
     Covariances are full sample covariances with a small diagonal ridge.
     """
     k = _count(k, "number of clusters k")
-    _count(max_iters, "max_iters")
     if k > points.k:
         raise SpecError(f"cannot fit {k} clusters to {points.k} points")
     x = points.data
@@ -97,7 +98,7 @@ def kmeans_fit(points: PointSet, k: int, max_iters: int = 100, seed: int = 0) ->
     centers = _plusplus_seeds(x, k, rng)
     labels = np.full(points.k, -1, dtype=np.int64)
     sse_history: list[float] = []
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         d2 = np.square(x[:, None, :] - centers[None, :, :]).sum(axis=2)
         new_labels = d2.argmin(axis=1)
         for c in range(k):

@@ -1,10 +1,11 @@
 """Synthetic two-moons points, IDX image ingestion and the glyph corpus.
 
-The two-moons generator follows the conventional arc construction, with one
-extra knob: a global coordinate ``scale``.  Its default, ``MOONS_SCALE``,
-fixes the size of every moons sample the tests and benchmarks draw.  It was
-meant to put the divergence between two independent 10,000-point samples
-near a reference baseline of about 0.070.  Measured, it does not: the check::
+The two-moons generator follows the conventional arc construction with
+Gaussian noise of standard deviation ``MOONS_NOISE_SD``, then multiplies
+every coordinate by ``MOONS_SCALE``, which fixes the size of every moons
+sample the tests and benchmarks draw.  The scale was meant to put the
+divergence between two independent 10,000-point samples near a reference
+baseline of about 0.070.  Measured, it does not: the check::
 
     ot_divergence(make_moons(SyntheticSpec(SyntheticKind.MOONS, n=10_000, seed=0)),
                   make_moons(SyntheticSpec(SyntheticKind.MOONS, n=10_000, seed=1)))
@@ -17,7 +18,6 @@ scales every divergence linearly, so it changes no ranking.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -31,7 +31,8 @@ from .ot import PointSet
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
-# Global scale of every moons sample by default (see module docstring).
+# Noise and global scale of every moons sample (see module docstring).
+MOONS_NOISE_SD = 0.05
 MOONS_SCALE = 3.2232
 
 
@@ -41,40 +42,29 @@ class SyntheticKind(Enum):
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Parameters of one two-moons sample.
+    """Size and seed of one two-moons sample.
 
     ``kind`` must be ``SyntheticKind.MOONS``, else :class:`SpecError`.
-    ``scale`` multiplies the finished coordinates; None picks
-    ``MOONS_SCALE``.
     """
 
     kind: SyntheticKind
     n: int
-    noise_sd: float = 0.05
     seed: int = 0
-    scale: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind is not SyntheticKind.MOONS:
             raise SpecError(f"the only synthetic kind is SyntheticKind.MOONS, got {self.kind!r}")
         _count(self.n, "number of points")
         _seed(self.seed)
-        if not 0.0 <= self.noise_sd < math.inf:
-            raise SpecError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
-        if self.scale is not None and not 0.0 < self.scale < math.inf:
-            raise SpecError(f"scale must be finite and positive, got {self.scale}")
-
-    @property
-    def resolved_scale(self) -> float:
-        return MOONS_SCALE if self.scale is None else self.scale
 
 
 def make_moons(spec: SyntheticSpec) -> PointSet:
-    """Two interleaved arcs with isotropic Gaussian noise.
+    """Two interleaved arcs with isotropic Gaussian noise, scaled.
 
     Upper arc (cos t, sin t), lower arc (1 - cos t, 0.5 - sin t), t drawn
     uniformly on [0, pi]; the arcs split n as evenly as possible (upper arc
-    first in row order).
+    first in row order).  Noise of standard deviation ``MOONS_NOISE_SD`` is
+    added, then every coordinate is multiplied by ``MOONS_SCALE``.
     """
     rng = np.random.default_rng(spec.seed)
     n_up = (spec.n + 1) // 2
@@ -87,9 +77,8 @@ def make_moons(spec: SyntheticSpec) -> PointSet:
             np.stack([1.0 - np.cos(t_lo), 0.5 - np.sin(t_lo)], axis=1),
         ]
     )
-    if spec.noise_sd > 0:
-        pts += rng.normal(0.0, spec.noise_sd, pts.shape)
-    return PointSet(pts * spec.resolved_scale)
+    pts += rng.normal(0.0, MOONS_NOISE_SD, pts.shape)
+    return PointSet(pts * MOONS_SCALE)
 
 
 # ---------------------------------------------------------------------------
@@ -99,29 +88,25 @@ def make_moons(spec: SyntheticSpec) -> PointSet:
 
 @dataclass(frozen=True)
 class ImageBatch:
-    """n flattened images with pixel values in [0, 1].
+    """n flattened single-channel images with pixel values in [0, 1].
 
-    ``pixels`` has shape (n, h*w*c), float32, with h, w, c >= 1.  Labels
-    are optional, a 1-D integer array, and only used for reporting.
+    ``pixels`` has shape (n, h*w), float32.  ``h`` and ``w`` are integers
+    >= 1 (NumPy integers too), stored as ``int``; anything else raises
+    :class:`SpecError`.  Labels are optional, a 1-D integer array, and only
+    used for reporting.
     """
 
     pixels: np.ndarray
     h: int
     w: int
-    c: int
     labels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if min(self.h, self.w, self.c) < 1:
-            raise SpecError(
-                f"image dimensions must be >= 1, got h, w, c = {self.h}, {self.w}, {self.c}"
-            )
+        object.__setattr__(self, "h", _count(self.h, "image height h", SpecError))
+        object.__setattr__(self, "w", _count(self.w, "image width w", SpecError))
         px = np.asarray(self.pixels, dtype=np.float32)
-        if px.ndim != 2 or px.shape[1] != self.h * self.w * self.c:
-            raise SpecError(
-                f"pixel matrix shape {px.shape} inconsistent with h*w*c = "
-                f"{self.h}*{self.w}*{self.c}"
-            )
+        if px.ndim != 2 or px.shape[1] != self.h * self.w:
+            raise SpecError(f"pixel matrix shape {px.shape} inconsistent with h*w = {self.h}*{self.w}")
         # Written so that a NaN pixel, for which every comparison is False, fails.
         if px.size and not (px.min() >= 0.0 and px.max() <= 1.0):
             raise SpecError("pixel values must lie in [0, 1]")
@@ -185,7 +170,7 @@ def load_idx(path_images: str | Path, path_labels: str | Path | None = None) -> 
         labels = _load_idx_labels(Path(path_labels))
         if len(labels) != n:
             raise CountMismatch(f"{n} images but {len(labels)} labels")
-    return ImageBatch(pixels=pixels, h=h, w=w, c=1, labels=labels)
+    return ImageBatch(pixels=pixels, h=h, w=w, labels=labels)
 
 
 # 3x5 digit bitmaps for the synthetic glyph corpus, row-major.
@@ -306,6 +291,4 @@ def make_glyphs(n: int, seed: int = 0) -> ImageBatch:
             out[idx] = _blur_pass(images, weights[part], axis=2)
     pixels = out.reshape(n, _GLYPH_SIDE * _GLYPH_SIDE)
     np.clip(pixels, 0.0, 1.0, out=pixels)
-    return ImageBatch(
-        pixels=pixels, h=_GLYPH_SIDE, w=_GLYPH_SIDE, c=1, labels=digits.astype(np.uint8)
-    )
+    return ImageBatch(pixels=pixels, h=_GLYPH_SIDE, w=_GLYPH_SIDE, labels=digits.astype(np.uint8))

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its count and seed checks.
+"""Exception types shared across the package, and its count, seed and rate checks.
 
 Every error raised on a contract violation derives from :class:`OtmapError`,
 so a caller can catch every package failure with one ``except`` clause
@@ -7,6 +7,8 @@ without enumerating modules.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 
 
@@ -73,3 +75,10 @@ def _count(n: int, what: str, error: type[OtmapError] = InvalidCount, least: int
 def _seed(seed: int) -> int:
     """``seed`` as an int >= 0 (NumPy integers too); :class:`SpecError` otherwise."""
     return _count(seed, "seed", SpecError, least=0)
+
+
+def _rate(x: float, what: str, positive: bool = True) -> None:
+    """Check ``x`` is a finite real (NumPy floats too), > 0, or >= 0 unless
+    ``positive``; :class:`SpecError` naming ``what`` otherwise."""
+    if not (isinstance(x, numbers.Real) and (0 < x if positive else 0 <= x) and x < math.inf):
+        raise SpecError(f"{what} must be finite and {'positive' if positive else '>= 0'}, got {x}")

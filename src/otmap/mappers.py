@@ -21,14 +21,13 @@ constant in the network weights, so no gradient flows through the solver.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import SizeMismatch, SpecError, TooFewPoints, _count, _seed
+from .errors import SizeMismatch, SpecError, TooFewPoints, _count, _rate, _seed
 from .nn import (
     Mlp,
     ParamGrads,
@@ -52,21 +51,18 @@ _PENALTY_BLOCK = 256
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Uniform noise prior on [low, high)^dim; low < high, both finite and
-    with a finite width, else :class:`SpecError`."""
+    """Uniform noise prior on [-1, 1)^dim.
+
+    ``seed`` starts the draws of :func:`sample_prior` called without an
+    ``rng``; the trainers draw from their own streams.
+    """
 
     dim: int
-    low: float = -1.0
-    high: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         _count(self.dim, "prior dim", SpecError)
         _seed(self.seed)
-        # Non-finite bounds give a NaN or infinite width; an overflowing width
-        # makes the uniform draw itself overflow.
-        if not (self.low < self.high and math.isfinite(self.high - self.low)):
-            raise SpecError(f"prior needs finite low < high with a finite width, got [{self.low}, {self.high})")
 
 
 def sample_prior(spec: PriorSpec, k: int, rng: np.random.Generator | None = None) -> PointSet:
@@ -78,7 +74,7 @@ def sample_prior(spec: PriorSpec, k: int, rng: np.random.Generator | None = None
     k = _count(k, "number of prior samples k")
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    return PointSet(rng.uniform(spec.low, spec.high, size=(k, spec.dim)))
+    return PointSet(rng.uniform(-1.0, 1.0, size=(k, spec.dim)))
 
 
 @dataclass(frozen=True)
@@ -101,10 +97,8 @@ class TrainConfig:
         _count(self.steps, "steps", SpecError)
         _count(self.batch_k, "batch_k", SpecError)
         _seed(self.seed)
-        if not 0 < self.lr < math.inf:
-            raise SpecError(f"lr must be finite and positive, got {self.lr}")
-        if not 0 <= self.lambda_div < math.inf:
-            raise SpecError(f"lambda_div must be finite and >= 0, got {self.lambda_div}")
+        _rate(self.lr, "lr")
+        _rate(self.lambda_div, "lambda_div", positive=False)
 
 
 @dataclass

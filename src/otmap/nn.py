@@ -27,14 +27,18 @@ import json
 import zipfile
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from math import inf, prod
+from math import prod
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteGradient, SizeMismatch, SpecError, _count
+from .errors import NonFiniteGradient, SizeMismatch, SpecError, _count, _rate
 from .ot import PointSet
+
+
+# Negative-side slope of every LeakyReLU.
+LEAKY_SLOPE = 0.01
 
 
 class Activation(Enum):
@@ -48,17 +52,15 @@ class LayerSpec:
     """Shape and nonlinearity of one dense layer.
 
     ``activation`` is an :class:`Activation` or its value, such as
-    ``"leaky_relu"``; anything else raises :class:`SpecError`.  ``slope``
-    is the negative-side slope of LeakyReLU and is ignored by the other
-    activations; it must lie in (0, 1).  The activation is stored as the
-    :class:`Activation`, the dims as ``int`` and the slope as ``float``, so
-    NumPy scalars save to a checkpoint.
+    ``"leaky_relu"``; anything else raises :class:`SpecError`.  LeakyReLU's
+    negative-side slope is ``LEAKY_SLOPE``.  The activation is stored as the
+    :class:`Activation` and the dims as ``int``, so NumPy integers save to a
+    checkpoint.
     """
 
     in_dim: int
     out_dim: int
     activation: Activation = Activation.LEAKY_RELU
-    slope: float = 0.01
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "in_dim", _count(self.in_dim, "layer in_dim", SpecError))
@@ -69,9 +71,6 @@ class LayerSpec:
             raise SpecError(
                 f"unknown activation {self.activation!r}, expected one of {[a.value for a in Activation]}"
             ) from None
-        if not (0.0 < self.slope < 1.0):
-            raise SpecError(f"leaky slope must lie in (0, 1), got {self.slope}")
-        object.__setattr__(self, "slope", float(self.slope))
 
 
 class Layer(NamedTuple):
@@ -216,7 +215,7 @@ def _activate(z: np.ndarray, spec: LayerSpec) -> np.ndarray:
     """Apply the activation to the pre-activation ``z`` in place; returns z."""
     if spec.activation is Activation.LEAKY_RELU:
         # slope in (0, 1): slope*z is the larger of the two exactly when z <= 0.
-        return np.maximum(z, spec.slope * z, out=z)
+        return np.maximum(z, LEAKY_SLOPE * z, out=z)
     if spec.activation is Activation.SIGMOID:
         # Stable at large |z|: with e = exp(-|z|) in [0, 1], 1/(1+e) for
         # z >= 0 and e/(1+e) below; the numerator max(e, [z >= 0]) is 1 or e.
@@ -237,7 +236,7 @@ def _activation_backward(g: np.ndarray, a: np.ndarray, spec: LayerSpec) -> np.nd
     """
     if spec.activation is Activation.LEAKY_RELU:
         gz = (a > 0).astype(a.dtype)
-        np.maximum(gz, spec.slope, out=gz)
+        np.maximum(gz, LEAKY_SLOPE, out=gz)
     elif spec.activation is Activation.SIGMOID:
         gz = 1.0 - a
         gz *= a
@@ -325,7 +324,7 @@ class AdamState:
     def __post_init__(self) -> None:
         if not (isinstance(self.m, ParamGrads) and isinstance(self.v, ParamGrads)):
             raise SpecError(f"Adam moments must be ParamGrads, got {type(self.m).__name__}, {type(self.v).__name__}")
-        # JSON true/false load as bool, an int subclass, which is no count.
+        # bool is an int subclass, but no count.
         if not (isinstance(self.t, int) and not isinstance(self.t, bool) and self.t >= 0):
             raise SpecError(f"invalid Adam step count t={self.t!r}: needs an integer t >= 0")
         self.scratch = np.empty((2, min(self.m.flat.size, _ADAM_BLOCK)), dtype=self.m.flat.dtype)
@@ -346,8 +345,7 @@ def adam_step(net: Mlp, grads: ParamGrads, state: AdamState, lr: float) -> tuple
     positive, else :class:`SpecError`.  Raises :class:`NonFiniteGradient`
     before touching any parameter if a gradient entry is NaN or infinite.
     """
-    if not 0 < lr < inf:
-        raise SpecError(f"learning rate must be finite and positive, got {lr}")
+    _rate(lr, "learning rate")
     if not isinstance(grads, ParamGrads):
         raise SpecError(f"gradients must be ParamGrads, got {type(grads).__name__}")
     shapes = [(gw.shape, gb.shape) for gw, gb in grads]
@@ -394,49 +392,38 @@ def adam_step(net: Mlp, grads: ParamGrads, state: AdamState, lr: float) -> tuple
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_FORMAT = "otmap-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
-@dataclass
-class CheckpointBundle:
-    """Everything a resumed or reused run needs from disk."""
+def save_checkpoint(path: str | Path, net: Mlp) -> None:
+    """Write a versioned .npz checkpoint of ``net``; round-trips bit-exactly.
 
-    net: Mlp
-    adam: AdamState | None = None
-
-
-def save_checkpoint(path: str | Path, net: Mlp, adam: AdamState | None = None) -> None:
-    """Write a versioned .npz checkpoint; round-trips bit-exactly.
-
-    The archive holds ``meta``, a JSON header with the dtype, the layer
-    specs and Adam's step count; ``params``, the net's flat vector; and,
-    when ``adam`` is given, its two moments as the vectors ``m`` and ``v``.
+    The archive holds ``meta``, a JSON header with the format, version,
+    dtype and layer specs, and ``params``, the net's flat vector.
     """
     meta = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "dtype": net.dtype.name,
         "layers": [{**asdict(spec), "activation": spec.activation.value} for spec in net.specs],
-        "adam": None if adam is None else {"t": adam.t},
     }
-    moments = {} if adam is None else {"m": adam.m.flat, "v": adam.v.flat}
-    np.savez(path, meta=np.array(json.dumps(meta)), params=net.params, **moments)
+    np.savez(path, meta=np.array(json.dumps(meta)), params=net.params)
 
 
-def _checked(data, key: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-    if key not in data.files:
-        raise SpecError(f"checkpoint is missing array {key!r}")
-    arr = data[key]
+def _checked_params(data, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    if "params" not in data.files:
+        raise SpecError("checkpoint is missing array 'params'")
+    arr = data["params"]
     if arr.shape != shape:
-        raise SpecError(f"checkpoint array {key!r} has shape {arr.shape}, expected {shape}")
+        raise SpecError(f"checkpoint array 'params' has shape {arr.shape}, expected {shape}")
     if arr.dtype != dtype:
-        raise SpecError(f"checkpoint array {key!r} has dtype {arr.dtype}, expected {dtype}")
+        raise SpecError(f"checkpoint array 'params' has dtype {arr.dtype}, expected {dtype}")
     return arr
 
 
-def _read_meta(data) -> tuple[np.dtype, list[LayerSpec], int | None]:
-    # The checkpoint's JSON header as (float dtype, layer specs, Adam's t or
-    # None); any missing or mistyped entry is a SpecError.
+def _read_meta(data) -> tuple[np.dtype, list[LayerSpec]]:
+    # The checkpoint's JSON header as (float dtype, layer specs); any missing
+    # or mistyped entry is a SpecError.
     try:
         meta = json.loads(str(data["meta"]))
         if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
@@ -446,25 +433,16 @@ def _read_meta(data) -> tuple[np.dtype, list[LayerSpec], int | None]:
         dtype = np.dtype(meta["dtype"])
         if dtype.kind != "f":
             raise SpecError(f"checkpoint dtype {dtype} is not a float type")
-        specs = [
-            LayerSpec(
-                in_dim=ls["in_dim"],
-                out_dim=ls["out_dim"],
-                activation=ls["activation"],
-                slope=ls["slope"],
-            )
-            for ls in meta["layers"]
-        ]
+        specs = [LayerSpec(ls["in_dim"], ls["out_dim"], ls["activation"]) for ls in meta["layers"]]
         if not specs:
             raise SpecError("checkpoint has no layers")
-        a = meta["adam"]
-        return dtype, specs, None if a is None else a["t"]
+        return dtype, specs
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"malformed checkpoint metadata: {exc!r}") from exc
 
 
-def load_checkpoint(path: str | Path) -> CheckpointBundle:
-    """Load a checkpoint written by :func:`save_checkpoint`.
+def load_checkpoint(path: str | Path) -> Mlp:
+    """Load the network a :func:`save_checkpoint` file holds.
 
     Each of these faults raises :class:`SpecError` naming the file:
 
@@ -472,13 +450,10 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
     - its header is missing, malformed, of another format or version, or
       names a dtype that is not a float type;
     - a layer spec is invalid, or the layers do not chain;
-    - Adam's step count is not an integer >= 0;
-    - ``params``, or ``m`` or ``v`` when the header has Adam's step count,
-      is not a vector of the specs' parameter count in the header's dtype
-      (the error also names the array).
+    - ``params`` is not a vector of the specs' parameter count in the
+      header's dtype (the error also names the array).
 
-    The net and the moments adopt the loaded vectors.  Header keys beyond
-    these are ignored.
+    The net adopts the loaded vector.  Header keys beyond these are ignored.
     """
     with open(path, "rb") as f:
         try:
@@ -488,13 +463,8 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
                 raise SpecError(f"not an npz checkpoint: {exc}") from exc
             if not isinstance(data, np.lib.npyio.NpzFile):
                 raise SpecError("not an npz checkpoint: holds a single array")
-            dtype, specs, t = _read_meta(data)
-            shape = (_size(_shapes(specs)),)
+            dtype, specs = _read_meta(data)
             # Arrays read from an npz are fresh, writable and C-contiguous, so they can be adopted.
-            net = Mlp(specs, _checked(data, "params", shape, dtype))
-            if t is None:
-                return CheckpointBundle(net)
-            m, v = (ParamGrads(_checked(data, key, shape, dtype), net.shapes) for key in ("m", "v"))
-            return CheckpointBundle(net, AdamState(m, v, t))
+            return Mlp(specs, _checked_params(data, (_size(_shapes(specs)),), dtype))
         except SpecError as exc:
             raise SpecError(f"{path}: {exc}") from exc

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import ImageBatch
-from .errors import SizeMismatch, SpecError
+from .errors import SizeMismatch, SpecError, _count
 
 CANVAS = 640
 MARGIN_FRAC = 0.05
@@ -89,9 +89,12 @@ def write_pgm(path: str | Path, gray: np.ndarray) -> None:
 
 
 def tile_images(images: ImageBatch, rows: int, cols: int) -> np.ndarray:
-    """Lay the first rows*cols images out on a (rows*h, cols*w) canvas."""
-    if images.c != 1:
-        raise SpecError("image grids support single-channel images only")
+    """Lay the first rows*cols images out on a (rows*h, cols*w) canvas.
+
+    ``rows`` and ``cols`` must be integers >= 1, else :class:`SpecError`.
+    """
+    rows = _count(rows, "grid rows", SpecError)
+    cols = _count(cols, "grid cols", SpecError)
     if images.n < rows * cols:
         raise SizeMismatch(f"grid needs {rows * cols} images, batch has {images.n}")
     tiles = images.pixels[: rows * cols].reshape(rows, cols, images.h, images.w)

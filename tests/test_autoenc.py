@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from otmap import autoenc, mappers
 from otmap.autoenc import (
@@ -31,7 +32,7 @@ from otmap.ot import PointSet
 def tiny_images(n=64, h=6, w=6, seed=0):
     rng = np.random.default_rng(seed)
     px = rng.uniform(0.1, 0.9, size=(n, h * w)).astype(np.float32)
-    return ImageBatch(pixels=px, h=h, w=w, c=1)
+    return ImageBatch(pixels=px, h=h, w=w)
 
 
 def backward_with_input_grad(net, cache, output_grad):
@@ -87,7 +88,7 @@ class TestSpecs:
 class TestTraining:
     def test_memorizes_single_repeated_image(self):
         base = make_glyphs(1, seed=5)
-        images = ImageBatch(pixels=np.tile(base.pixels[:1], (64, 1))[:, :784], h=28, w=28, c=1)
+        images = ImageBatch(pixels=np.tile(base.pixels[:1], (64, 1))[:, :784], h=28, w=28)
         spec = AutoencoderSpec(input_dim=784, hidden=(64,), latent_dim=4)
         cfg = TrainConfig(steps=3000, batch_k=16, lr=1e-3, seed=1)
         result = train_autoencoder(images, spec, cfg)
@@ -95,14 +96,18 @@ class TestTraining:
         recon = decode(result.decoder, encode(result.encoder, images))
         assert float(((recon.pixels - images.pixels) ** 2).mean()) < 1e-3
 
-    def test_identity_capable_spec_reaches_near_zero(self):
-        images = tiny_images(n=128, h=3, w=4)
-        spec = AutoencoderSpec(
-            input_dim=12, hidden=(), latent_dim=12, output_activation=Activation.IDENTITY
-        )
-        cfg = TrainConfig(steps=4000, batch_k=32, lr=3e-3, seed=2)
+    def test_linear_spec_reaches_the_best_shared_sigmoid_fit(self):
+        # Without a hidden layer the net is sigmoid(M x + c).  Its best fit
+        # is at least as good as one sigmoid(a x + b) shared by every pixel.
+        images = tiny_images(n=128, h=4, w=4)
+        x = images.pixels.astype(np.float64).ravel()
+        shared = minimize(lambda p: np.mean((1.0 / (1.0 + np.exp(-p[0] * x - p[1])) - x) ** 2), [4.0, -2.0],
+                          method="Nelder-Mead")
+        spec = AutoencoderSpec(input_dim=16, hidden=(), latent_dim=16)
+        cfg = TrainConfig(steps=2000, batch_k=32, lr=3e-3, seed=2)
         result = train_autoencoder(images, spec, cfg)
-        assert result.losses[-1] < 1e-4
+        recon = decode(result.decoder, encode(result.encoder, images))
+        assert np.mean((recon.pixels.astype(np.float64) - images.pixels) ** 2) <= shared.fun
 
     def test_loss_drops_below_initial(self):
         images = make_glyphs(256, seed=3)
@@ -191,9 +196,7 @@ class TestEncodeDecode:
 
     def test_identical_images_identical_latents(self, trained):
         images, result = trained
-        doubled = ImageBatch(
-            pixels=np.tile(images.pixels[:1], (2, 1)), h=28, w=28, c=1
-        )
+        doubled = ImageBatch(pixels=np.tile(images.pixels[:1], (2, 1)), h=28, w=28)
         latents = encode(result.encoder, doubled)
         assert np.array_equal(latents.data[0], latents.data[1])
 
@@ -203,7 +206,7 @@ class TestEncodeDecode:
         recon = decode(result.decoder, latents)
         assert recon.pixels.shape == images.pixels.shape
         assert recon.pixels.min() >= 0.0 and recon.pixels.max() <= 1.0
-        assert (recon.h, recon.w, recon.c) == (28, 28, 1)
+        assert (recon.h, recon.w) == (28, 28)
 
     def test_reconstruction_of_training_image(self, trained):
         images, result = trained
@@ -238,7 +241,7 @@ class TestEncodeDecode:
         images, result = trained
         for name, net in (("encoder", result.encoder), ("decoder", result.decoder)):
             save_checkpoint(tmp_path / f"{name}.npz", net)
-        encoder, decoder = (load_checkpoint(tmp_path / f"{name}.npz").net for name in ("encoder", "decoder"))
+        encoder, decoder = (load_checkpoint(tmp_path / f"{name}.npz") for name in ("encoder", "decoder"))
         latents, reloaded = encode(result.encoder, images), encode(encoder, images)
         assert reloaded.data.dtype == latents.data.dtype and reloaded.data.tobytes() == latents.data.tobytes()
         want, got = decode(result.decoder, latents).pixels, decode(decoder, reloaded).pixels

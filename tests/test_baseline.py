@@ -48,11 +48,6 @@ class TestKmeansFit:
         with pytest.raises(SpecError):
             kmeans_fit(PointSet(np.zeros((3, 2))), k=4)
 
-    @pytest.mark.parametrize("max_iters", [0, -1])
-    def test_rejects_fewer_than_one_iteration(self, max_iters):
-        with pytest.raises(InvalidCount, match="max_iters"):
-            kmeans_fit(PointSet(np.zeros((3, 2))), k=2, max_iters=max_iters)
-
     def test_labels_cover_inputs(self):
         pts = make_moons(SyntheticSpec(SyntheticKind.MOONS, n=200, seed=6))
         result = kmeans_fit(pts, k=5, seed=7)

@@ -11,6 +11,8 @@ from otmap.datasets import (
     _GLYPH_FONT,
     IDX_IMAGE_MAGIC,
     IDX_LABEL_MAGIC,
+    MOONS_NOISE_SD,
+    MOONS_SCALE,
     ImageBatch,
     SyntheticKind,
     SyntheticSpec,
@@ -22,28 +24,30 @@ from otmap.errors import BadMagic, CountMismatch, InvalidCount, SpecError, Trunc
 from otmap.ot import PointSet, ot_divergence
 
 
+def moons_construction(n: int, seed: int) -> np.ndarray:
+    """The arcs from make_moons' draws: the upper arc (unit circle about the
+    origin, y >= 0) takes the extra point of an odd n and comes first, then
+    the lower arc (unit circle about (1, 0.5), y <= 0.5); then the noise and
+    the scale."""
+    rng = np.random.default_rng(seed)
+    t_up = rng.uniform(0.0, np.pi, (n + 1) // 2)
+    t_lo = rng.uniform(0.0, np.pi, n // 2)
+    arcs = np.concatenate([np.stack([np.cos(t_up), np.sin(t_up)], axis=1),
+                           np.stack([1.0 - np.cos(t_lo), 0.5 - np.sin(t_lo)], axis=1)])
+    return (arcs + rng.normal(0.0, 0.05, arcs.shape)) * MOONS_SCALE
+
+
 class TestMoons:
-    def test_noiseless_points_lie_on_arcs(self):
-        spec = SyntheticSpec(SyntheticKind.MOONS, n=4, noise_sd=0.0, seed=3, scale=1.0)
-        pts = make_moons(spec).data
-        upper, lower = pts[:2], pts[2:]
-        # upper arc: unit circle, y >= 0
-        np.testing.assert_allclose(np.linalg.norm(upper, axis=1), 1.0, atol=1e-9)
-        assert (upper[:, 1] >= -1e-9).all()
-        # lower arc: unit circle around (1, 0.5), y <= 0.5
-        np.testing.assert_allclose(np.linalg.norm(lower - [1.0, 0.5], axis=1), 1.0, atol=1e-9)
-        assert (lower[:, 1] <= 0.5 + 1e-9).all()
-
     def test_odd_split_counts(self):
-        # The upper arc (unit circle about the origin) takes the extra point, first.
-        pts = make_moons(SyntheticSpec(SyntheticKind.MOONS, n=3, noise_sd=0.0, scale=1.0)).data
-        on_upper = np.isclose(np.linalg.norm(pts, axis=1), 1.0) & (pts[:, 1] >= 0)
-        assert on_upper.tolist() == [True, True, False]
+        got = make_moons(SyntheticSpec(SyntheticKind.MOONS, n=7, seed=3)).data
+        want = moons_construction(7, seed=3)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
-    def test_scale_multiplies_coordinates(self):
-        base = SyntheticSpec(SyntheticKind.MOONS, n=50, seed=4, scale=1.0)
-        scaled = SyntheticSpec(SyntheticKind.MOONS, n=50, seed=4, scale=2.5)
-        np.testing.assert_allclose(make_moons(scaled).data, 2.5 * make_moons(base).data, rtol=1e-12)
+    def test_even_n_matches_the_arc_construction(self):
+        assert MOONS_NOISE_SD == 0.05
+        got = make_moons(SyntheticSpec(SyntheticKind.MOONS, n=8, seed=4)).data
+        want = moons_construction(8, seed=4)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_deterministic_per_seed(self):
         spec = SyntheticSpec(SyntheticKind.MOONS, n=100, seed=7)
@@ -61,14 +65,6 @@ class TestCircles:
         ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         div = ot_divergence(PointSet(ring), PointSet(0.999 * ring))
         assert div == pytest.approx(0.001, rel=1e-6)
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [("noise_sd", v) for v in (np.nan, np.inf, -0.1)] + [("scale", v) for v in (np.nan, np.inf, 0.0, -1.0)],
-    )
-    def test_noise_and_scale_must_be_finite_and_in_range(self, field, value):
-        with pytest.raises(SpecError, match=field):
-            SyntheticSpec(SyntheticKind.MOONS, n=4, **{field: value})
 
     def test_zero_points_rejected(self):
         with pytest.raises(InvalidCount):
@@ -115,7 +111,7 @@ class TestLoadIdx:
         pixels = np.arange(4 * 2 * 3, dtype=np.uint8).reshape(4, 2, 3)
         img, lbl = write_idx_fixture(tmp_path, pixels, labels=[0, 1, 2, 3])
         batch = load_idx(img, lbl)
-        assert (batch.n, batch.h, batch.w, batch.c) == (4, 2, 3, 1)
+        assert (batch.n, batch.h, batch.w) == (4, 2, 3)
         np.testing.assert_allclose(batch.pixels, pixels.reshape(4, 6) / 255.0, rtol=1e-7)
         assert batch.labels.tolist() == [0, 1, 2, 3]
 
@@ -221,30 +217,33 @@ class TestGlyphs:
 class TestImageBatch:
     def test_rejects_out_of_range(self):
         with pytest.raises(SpecError):
-            ImageBatch(pixels=np.full((1, 4), 1.5), h=2, w=2, c=1)
+            ImageBatch(pixels=np.full((1, 4), 1.5), h=2, w=2)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(SpecError):
-            ImageBatch(pixels=[[bad, 0.5, 0.1, 0.2]], h=2, w=2, c=1)
+            ImageBatch(pixels=[[bad, 0.5, 0.1, 0.2]], h=2, w=2)
 
     def test_rejects_inconsistent_shape(self):
         with pytest.raises(SpecError):
-            ImageBatch(pixels=np.zeros((1, 5)), h=2, w=2, c=1)
+            ImageBatch(pixels=np.zeros((1, 5)), h=2, w=2)
 
-    @pytest.mark.parametrize("hwc", [(-2, -2, 1), (2, 2, 0), (0, 4, 1), (4, 1, -1)])
-    def test_rejects_dimensions_below_one(self, hwc):
-        h, w, c = hwc
-        with pytest.raises(SpecError):
-            ImageBatch(pixels=np.zeros((1, abs(h * w * c))), h=h, w=w, c=c)
+    @pytest.mark.parametrize("h, w", [(-2, -2), (0, 4), (4, 0), (2.0, 2), (2, 2.0), ("2", 2), (2, None)])
+    def test_rejects_dimensions_that_are_not_counts(self, h, w):
+        with pytest.raises(SpecError, match="need an integer"):
+            ImageBatch(pixels=np.zeros((1, 4)), h=h, w=w)
+
+    def test_stores_numpy_integer_dimensions_as_int(self):
+        batch = ImageBatch(pixels=np.zeros((1, 6)), h=np.int64(2), w=np.uint8(3))
+        assert (type(batch.h), type(batch.w)) == (int, int) and (batch.h, batch.w) == (2, 3)
 
     @pytest.mark.parametrize(
         "labels", [np.zeros((2, 1), dtype=np.int64), np.array([0.0, 1.0]), np.array([True, False])]
     )
     def test_rejects_labels_not_1d_integer(self, labels):
         with pytest.raises(SpecError):
-            ImageBatch(pixels=np.zeros((2, 4)), h=2, w=2, c=1, labels=labels)
+            ImageBatch(pixels=np.zeros((2, 4)), h=2, w=2, labels=labels)
 
     def test_label_list_becomes_array(self):
-        batch = ImageBatch(pixels=np.zeros((2, 4)), h=2, w=2, c=1, labels=[3, 4])
+        batch = ImageBatch(pixels=np.zeros((2, 4)), h=2, w=2, labels=[3, 4])
         assert isinstance(batch.labels, np.ndarray) and batch.labels.tolist() == [3, 4]

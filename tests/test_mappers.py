@@ -79,26 +79,26 @@ class TestSamplePrior:
     def test_invalid_spec(self):
         with pytest.raises(SpecError):
             PriorSpec(dim=0)
-        with pytest.raises(SpecError):
-            PriorSpec(dim=2, low=1.0, high=-1.0)
 
-    @pytest.mark.parametrize(
-        "low, high",
-        [(-np.inf, 1.0), (-1.0, np.inf), (-np.inf, np.inf), (np.nan, 1.0), (-1.0, np.nan), (-1e308, 1e308)],
-    )
-    def test_rejects_bounds_without_a_finite_width(self, low, high):
-        with pytest.raises(SpecError, match="finite"):
-            PriorSpec(dim=2, low=low, high=high)
+    def test_draws_uniform_on_minus_one_to_one_from_the_seed(self):
+        got = sample_prior(PriorSpec(dim=3, seed=11), 20).data
+        want = np.random.default_rng(11).uniform(-1, 1, (20, 3))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestTrainConfig:
     @pytest.mark.parametrize(
         "field, value",
-        [("lr", v) for v in (np.nan, np.inf, 0.0, -1e-3)] + [("lambda_div", v) for v in (np.nan, np.inf, -0.5)],
+        [("lr", v) for v in (np.nan, np.inf, 0.0, -1e-3, "1e-3", None)]
+        + [("lambda_div", v) for v in (np.nan, np.inf, -0.5, "0.5", None)],
     )
     def test_rejects_rates_that_are_not_finite_and_in_range(self, field, value):
         with pytest.raises(SpecError, match=field):
             TrainConfig(prior=PriorSpec(dim=2), **{field: value})
+
+    def test_accepts_numpy_float_rates(self):
+        cfg = TrainConfig(prior=PriorSpec(dim=2), lr=np.float32(1e-3), lambda_div=np.float64(0.5))
+        assert (cfg.lr, cfg.lambda_div) == (np.float32(1e-3), 0.5)
 
 
 class TestDiversityPenalty:

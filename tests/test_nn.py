@@ -14,6 +14,7 @@ from otmap.errors import NonFiniteGradient, SizeMismatch, SpecError
 from otmap.nn import (
     _ADAM_BLOCK,
     Activation,
+    LEAKY_SLOPE,
     AdamState,
     LayerSpec,
     Mlp,
@@ -49,7 +50,7 @@ def reference_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
             for j in range(layer.spec.out_dim):
                 z[j] = float(np.dot(layer.weight[j].astype(np.float64), h)) + float(layer.bias[j])
             if layer.spec.activation is Activation.LEAKY_RELU:
-                h = np.array([v if v > 0 else layer.spec.slope * v for v in z])
+                h = np.array([v if v > 0 else LEAKY_SLOPE * v for v in z])
             elif layer.spec.activation is Activation.SIGMOID:
                 h = 1.0 / (1.0 + np.exp(-z))
             else:
@@ -74,7 +75,7 @@ def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
 def reference_activation(z: np.ndarray, spec: LayerSpec) -> np.ndarray:
     """The two-branch formulas, one masked gather per branch."""
     if spec.activation is Activation.LEAKY_RELU:
-        return np.where(z > 0, z, spec.slope * z)
+        return np.where(z > 0, z, LEAKY_SLOPE * z)
     if spec.activation is Activation.SIGMOID:
         out = np.empty_like(z)
         pos = z >= 0
@@ -87,7 +88,7 @@ def reference_activation(z: np.ndarray, spec: LayerSpec) -> np.ndarray:
 
 def reference_activation_backward(g: np.ndarray, a: np.ndarray, spec: LayerSpec) -> np.ndarray:
     if spec.activation is Activation.LEAKY_RELU:
-        return g * np.where(a > 0, np.asarray(1.0, dtype=a.dtype), np.asarray(spec.slope, dtype=a.dtype))
+        return g * np.where(a > 0, np.asarray(1.0, dtype=a.dtype), np.asarray(LEAKY_SLOPE, dtype=a.dtype))
     if spec.activation is Activation.SIGMOID:
         return g * (a * (1.0 - a))
     return g * np.ones_like(a)
@@ -150,7 +151,7 @@ class TestInit:
         assert by_value.specs[0].activation is Activation.LEAKY_RELU
         assert_same_bits(forward(by_value, x).data, forward(by_member, x).data)
         save_checkpoint(tmp_path / "net.npz", by_value)
-        assert load_checkpoint(tmp_path / "net.npz").net.specs == by_member.specs
+        assert load_checkpoint(tmp_path / "net.npz").specs == by_member.specs
 
     @pytest.mark.parametrize("activation", ["relu", None])
     def test_rejects_unknown_activation(self, activation):
@@ -258,14 +259,15 @@ class TestForward:
         np.testing.assert_allclose(out.data, x, atol=1e-6)
 
     def test_leaky_relu_definition(self):
-        net = init_mlp([LayerSpec(1, 1, Activation.LEAKY_RELU, slope=0.01)], seed=0, dtype=np.float64)
+        assert LEAKY_SLOPE == 0.01
+        net = init_mlp([LayerSpec(1, 1, Activation.LEAKY_RELU)], seed=0, dtype=np.float64)
         net.layers[0].weight[:] = 1.0
         out = forward(net, PointSet([[-3.0]]))
         assert out.data[0, 0] == pytest.approx(-0.03)
 
     def test_matches_reference_implementation(self):
         specs = [
-            LayerSpec(2, 7, Activation.LEAKY_RELU, slope=0.2),
+            LayerSpec(2, 7, Activation.LEAKY_RELU),
             LayerSpec(7, 5, Activation.SIGMOID),
             LayerSpec(5, 3, Activation.IDENTITY),
         ]
@@ -295,9 +297,8 @@ class TestActivations:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "spec",
-        [LayerSpec(1, 1, Activation.LEAKY_RELU, slope=s) for s in (0.01, 0.2, 0.999, 1e-6)]
-        + [LayerSpec(1, 1, Activation.SIGMOID), LayerSpec(1, 1, Activation.IDENTITY)],
-        ids=lambda spec: f"{spec.activation.value}-{spec.slope}",
+        [LayerSpec(1, 1, activation) for activation in Activation],
+        ids=lambda spec: f"{spec.activation.value}-{LEAKY_SLOPE}",
     )
     def test_matches_two_branch_reference(self, dtype, spec):
         z = self.special_values(dtype)
@@ -338,7 +339,7 @@ class TestBackward:
             # side's slope: keep every pre-activation off it by the margin.
             _, cache = _forward_cached(net, x)
             assume(all(
-                np.abs(np.where(out > 0, out, out / spec.slope)).min() > kink_margin
+                np.abs(np.where(out > 0, out, out / LEAKY_SLOPE)).min() > kink_margin
                 for out, spec in zip(cache[1:], specs)
                 if spec.activation is Activation.LEAKY_RELU
             ))
@@ -396,13 +397,9 @@ class TestBackward:
 
 class TestLeakyReluContraction:
     @settings(max_examples=50, deadline=None)
-    @given(
-        x=st.floats(-50, 50),
-        y=st.floats(-50, 50),
-        slope=st.floats(0.001, 0.999),
-    )
-    def test_lipschitz_bound(self, x, y, slope):
-        f = lambda v: v if v > 0 else slope * v
+    @given(x=st.floats(-50, 50), y=st.floats(-50, 50))
+    def test_lipschitz_bound(self, x, y):
+        f = lambda v: float(_activate(np.array([v]), LayerSpec(1, 1))[0])
         assert abs(f(x) - f(y)) <= abs(x - y) + 1e-12
 
 
@@ -514,7 +511,7 @@ class TestAdam:
                 adam_step(net, grads, state, lr=1e-3)
         assert state.t == 0
 
-    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, 0.0, -1e-3, "x", None])
     def test_rejects_learning_rates_that_are_not_finite_and_positive(self, lr):
         net = init_mlp([LayerSpec(2, 3)], seed=0)
         state = init_adam(net)
@@ -561,54 +558,27 @@ class TestCheckpoints:
             x = PointSet(rng.normal(size=(8, 2)))
             adam_step(net, backward(net, x, rng.normal(size=(8, 2))), state, lr=1e-3)
         path = tmp_path / "net.npz"
-        save_checkpoint(path, net, adam=state)
-        with np.load(path) as data:
-            assert sorted(data.files) == ["m", "meta", "params", "v"]
-        bundle = load_checkpoint(path)
-        assert bundle.adam.t == state.t
-        for la, lb in zip(net.layers, bundle.net.layers):
+        save_checkpoint(path, net)
+        loaded = load_checkpoint(path)
+        for la, lb in zip(net.layers, loaded.layers):
             assert la.spec == lb.spec
             assert np.array_equal(la.weight, lb.weight)
             assert np.array_equal(la.bias, lb.bias)
-        for (ma, mb), (na, nb) in zip(state.m, bundle.adam.m):
-            assert np.array_equal(ma, na)
-            assert np.array_equal(mb, nb)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_resume_matches_straight_run(self, tmp_path, dtype):
-        specs = [LayerSpec(2, 16), LayerSpec(16, 16, Activation.SIGMOID), LayerSpec(16, 2, Activation.IDENTITY)]
-        rng = np.random.default_rng(3)
-        batches = [(PointSet(rng.normal(size=(8, 2))), rng.normal(size=(8, 2))) for _ in range(12)]
-
-        def run(net, state, steps):
-            for x, g in steps:
-                adam_step(net, backward(net, x, g), state, lr=1e-2)
-
-        straight = init_mlp(specs, seed=4, dtype=dtype)
-        straight_adam = init_adam(straight)
-        run(straight, straight_adam, batches)
-
-        net = init_mlp(specs, seed=4, dtype=dtype)
-        state = init_adam(net)
-        run(net, state, batches[:5])
-        save_checkpoint(tmp_path / "mid.npz", net, adam=state)
-        bundle = load_checkpoint(tmp_path / "mid.npz")
-        run(bundle.net, bundle.adam, batches[5:])
-
-        assert bundle.adam.t == straight_adam.t == 12
-        assert_same_bits(bundle.net.params, straight.params)
-        assert_same_bits(bundle.adam.m.flat, straight_adam.m.flat)
-        assert_same_bits(bundle.adam.v.flat, straight_adam.v.flat)
 
     def test_checkpoint_without_adam(self, tmp_path):
-        net = init_mlp([LayerSpec(2, 2)], seed=0)
+        # A checkpoint is the net alone: a header and the flat parameters, no optimizer state.
+        net = init_mlp([LayerSpec(2, 2)], seed=0, dtype=np.float64)
         path = tmp_path / "bare.npz"
         save_checkpoint(path, net)
         with np.load(path) as data:
             assert sorted(data.files) == ["meta", "params"]
-        bundle = load_checkpoint(path)
-        assert bundle.adam is None
-        assert np.array_equal(bundle.net.layers[0].weight, net.layers[0].weight)
+            assert json.loads(str(data["meta"])) == {
+                "format": "otmap-checkpoint",
+                "version": 3,
+                "dtype": "float64",
+                "layers": [{"in_dim": 2, "out_dim": 2, "activation": "leaky_relu"}],
+            }
+        assert_same_bits(load_checkpoint(path).params, net.params)
 
     @pytest.mark.parametrize(
         "key, edit",
@@ -616,16 +586,14 @@ class TestCheckpoints:
             ("params", lambda a: a[:-1]),
             ("params", lambda a: a[None]),
             ("params", lambda a: a.astype(np.float64)),
-            ("m", lambda a: a[:1]),
-            ("v", lambda a: np.zeros(3, dtype=a.dtype)),
-            ("m", None),
+            ("params", None),
         ],
-        ids=["params-length", "params-rank", "dtype", "first-moment-shape", "second-moment-shape", "missing"],
+        ids=["params-length", "params-rank", "dtype", "missing"],
     )
     def test_rejects_mismatched_arrays(self, tmp_path, key, edit):
         net = init_mlp([LayerSpec(2, 4), LayerSpec(4, 2, Activation.IDENTITY)], seed=0)
         path = tmp_path / "net.npz"
-        save_checkpoint(path, net, adam=init_adam(net))
+        save_checkpoint(path, net)
         with np.load(path) as data:
             arrays = {name: data[name] for name in data.files}
         if edit is None:
@@ -658,12 +626,10 @@ class TestCheckpoints:
     def test_ignores_unknown_header_keys(self, tmp_path):
         net = init_mlp([LayerSpec(2, 4), LayerSpec(4, 2, Activation.IDENTITY)], seed=0)
         path = tmp_path / "old.npz"
-        save_checkpoint(path, net, adam=init_adam(net))
+        save_checkpoint(path, net)
         state = np.random.default_rng(1).bit_generator.state
         self._rewrite(path, lambda meta: meta.update(rng_state=state))
-        bundle = load_checkpoint(path)
-        assert_same_bits(bundle.net.params, net.params)
-        assert bundle.adam.t == 0
+        assert_same_bits(load_checkpoint(path).params, net.params)
 
     def test_rejects_unchained_layers(self, tmp_path):
         # Swapped, the two layers still hold 15 parameters, but 2->3 cannot feed 2->2.
@@ -675,28 +641,19 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_round_trips_numpy_typed_specs(self, tmp_path):
-        specs = [LayerSpec(np.int64(2), np.int32(3), slope=np.float32(0.25)), LayerSpec(np.uint8(3), 1)]
+        specs = [LayerSpec(np.int64(2), np.int32(3)), LayerSpec(np.uint8(3), 1)]
         net = init_mlp(specs, seed=0)
-        assert all(type(s.in_dim) is type(s.out_dim) is int and type(s.slope) is float for s in net.specs)
+        assert all(type(s.in_dim) is type(s.out_dim) is int for s in net.specs)
         path = tmp_path / "net.npz"
         save_checkpoint(path, net)
-        bundle = load_checkpoint(path)
-        assert bundle.net.specs == net.specs == (LayerSpec(2, 3, slope=0.25), LayerSpec(3, 1))
-        assert_same_bits(bundle.net.params, net.params)
-
-    @pytest.mark.parametrize("t", ["x", -3, 2.5, True], ids=lambda t: f"t-{t}")
-    def test_rejects_bad_adam_settings_naming_the_file(self, tmp_path, t):
-        net = init_mlp([LayerSpec(2, 4), LayerSpec(4, 2, Activation.IDENTITY)], seed=0)
-        path = tmp_path / "net.npz"
-        save_checkpoint(path, net, adam=init_adam(net))
-        self._rewrite(path, lambda meta: meta["adam"].update(t=t))
-        with pytest.raises(SpecError, match=re.escape(str(path))):
-            load_checkpoint(path)
+        loaded = load_checkpoint(path)
+        assert loaded.specs == net.specs == (LayerSpec(2, 3), LayerSpec(3, 1))
+        assert_same_bits(loaded.params, net.params)
 
     @pytest.mark.parametrize(
         "damage",
-        ["no-meta", "layer-without-slope", "bad-dim", "bad-slope", "bad-activation", "no-layers", "int-dtype",
-         "version-1", "not-npz", "empty", "truncated", "single-array"],
+        ["no-meta", "layer-without-activation", "bad-dim", "bad-activation", "no-layers", "int-dtype",
+         "version-1", "version-2", "not-npz", "empty", "truncated", "single-array"],
     )
     def test_rejects_malformed_file_naming_it(self, tmp_path, damage):
         net = init_mlp([LayerSpec(2, 4), LayerSpec(4, 2, Activation.IDENTITY)], seed=0)
@@ -704,12 +661,10 @@ class TestCheckpoints:
         save_checkpoint(path, net)
         if damage == "no-meta":
             self._rewrite(path, meta=None)
-        elif damage == "layer-without-slope":
-            self._rewrite(path, lambda meta: meta["layers"][0].pop("slope"))
+        elif damage == "layer-without-activation":
+            self._rewrite(path, lambda meta: meta["layers"][0].pop("activation"))
         elif damage == "bad-dim":
             self._rewrite(path, lambda meta: meta["layers"][0].update(in_dim=-1))
-        elif damage == "bad-slope":
-            self._rewrite(path, lambda meta: meta["layers"][0].update(slope=2.0))
         elif damage == "bad-activation":
             self._rewrite(path, lambda meta: meta["layers"][0].update(activation="relu"))
         elif damage == "no-layers":
@@ -720,6 +675,15 @@ class TestCheckpoints:
             # The older format: one array per layer weight and bias.
             layers = {f"{k}{i}": a for i, l in enumerate(net.layers) for k, a in (("w", l.weight), ("b", l.bias))}
             self._rewrite(path, lambda meta: meta.update(version=1), params=None, **layers)
+        elif damage == "version-2":
+            # The format that also held Adam's step count and moments, and a slope per layer.
+            def to_version_2(meta):
+                meta.update(version=2, adam={"t": 0})
+                for layer in meta["layers"]:
+                    layer["slope"] = 0.01
+
+            moments = np.zeros(net.param_count, dtype=net.dtype)
+            self._rewrite(path, to_version_2, m=moments, v=moments)
         elif damage == "not-npz":
             path.write_text("in_dim,out_dim\n2,4\n")
         elif damage == "empty":

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from otmap.datasets import ImageBatch
-from otmap.errors import SizeMismatch
+from otmap.errors import SizeMismatch, SpecError
 from otmap.plots import tile_images, write_feedback_svg, write_pgm
 
 
@@ -49,10 +49,17 @@ def test_feedback_svg_rejects_unequal_counts(tmp_path, n_targets, n_perm):
 def test_tile_images_on_a_2x3_grid():
     h, w = 2, 3
     pixels = np.arange(7 * h * w, dtype=np.float32).reshape(7, h * w) / (7 * h * w)
-    images = ImageBatch(pixels=pixels, h=h, w=w, c=1)  # one image more than the grid holds
+    images = ImageBatch(pixels=pixels, h=h, w=w)  # one image more than the grid holds
     grid = tile_images(images, rows=2, cols=3)
     assert grid.shape == (2 * h, 3 * w)
     for r in range(2):
         for c in range(3):
             tile = grid[r * h : (r + 1) * h, c * w : (c + 1) * w]
             np.testing.assert_array_equal(tile, images.pixels[r * 3 + c].reshape(h, w))
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 2), (2, 0), (-1, 2), (1.5, 2), (2, "2"), (None, 1)])
+def test_tile_images_rejects_a_grid_side_that_is_not_a_count(rows, cols):
+    images = ImageBatch(pixels=np.zeros((4, 6), dtype=np.float32), h=2, w=3)
+    with pytest.raises(SpecError, match="need an integer"):
+        tile_images(images, rows=rows, cols=cols)
