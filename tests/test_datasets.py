@@ -228,7 +228,13 @@ class TestImageBatch:
         with pytest.raises(SpecError):
             ImageBatch(pixels=np.zeros((1, 5)), h=2, w=2)
 
-    @pytest.mark.parametrize("h, w", [(-2, -2), (0, 4), (4, 0), (2.0, 2), (2, 2.0), ("2", 2), (2, None)])
+    @pytest.mark.parametrize("hwc", [(-2, -2), (2, 0), (0, 4), (4, -1)])
+    def test_rejects_dimensions_below_one(self, hwc):
+        h, w = hwc
+        with pytest.raises(SpecError, match="need an integer"):
+            ImageBatch(pixels=np.zeros((1, 4)), h=h, w=w)
+
+    @pytest.mark.parametrize("h, w", [(2.0, 2), (2, 2.0), ("2", 2), (2, None)])
     def test_rejects_dimensions_that_are_not_counts(self, h, w):
         with pytest.raises(SpecError, match="need an integer"):
             ImageBatch(pixels=np.zeros((1, 4)), h=h, w=w)
