@@ -75,8 +75,6 @@ def train_autoencoder(images: ImageBatch, spec: AutoencoderSpec, cfg: TrainConfi
     epoch.  Deterministic per cfg.seed.  A non-finite gradient raises
     :class:`otmap.errors.NonFiniteGradient` before either half's parameters change.
     """
-    if images.n < 1:
-        raise SpecError("cannot train on an empty image batch")
     if images.pixels.shape[1] != spec.input_dim:
         raise SizeMismatch(
             f"autoencoder expects input dim {spec.input_dim}, images have {images.pixels.shape[1]}"

@@ -90,10 +90,10 @@ def make_moons(spec: SyntheticSpec) -> PointSet:
 class ImageBatch:
     """n flattened single-channel images with pixel values in [0, 1].
 
-    ``pixels`` has shape (n, h*w), float32.  ``h`` and ``w`` are integers
-    >= 1 (NumPy integers too), stored as ``int``; anything else raises
-    :class:`SpecError`.  Labels are optional, a 1-D integer array, and only
-    used for reporting.
+    ``pixels`` has shape (n, h*w), float32, with n >= 1.  ``h`` and ``w``
+    are integers >= 1 (NumPy integers too), stored as ``int``; anything else,
+    or no image, raises :class:`SpecError`.  Labels are optional, a 1-D
+    integer array, and only used for reporting.
     """
 
     pixels: np.ndarray
@@ -107,8 +107,9 @@ class ImageBatch:
         px = np.asarray(self.pixels, dtype=np.float32)
         if px.ndim != 2 or px.shape[1] != self.h * self.w:
             raise SpecError(f"pixel matrix shape {px.shape} inconsistent with h*w = {self.h}*{self.w}")
+        _count(len(px), "image count n", SpecError)
         # Written so that a NaN pixel, for which every comparison is False, fails.
-        if px.size and not (px.min() >= 0.0 and px.max() <= 1.0):
+        if not (px.min() >= 0.0 and px.max() <= 1.0):
             raise SpecError("pixel values must lie in [0, 1]")
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)

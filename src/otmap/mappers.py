@@ -30,7 +30,6 @@ from scipy.spatial.distance import cdist
 from .errors import SizeMismatch, SpecError, TooFewPoints, _count, _rate, _seed
 from .nn import (
     Mlp,
-    ParamGrads,
     _backward_from_cache,
     _forward_cached,
     adam_step,
@@ -205,7 +204,7 @@ def _fit(net: Mlp, cfg: TrainConfig, batches: Iterator[tuple[np.ndarray, Callabl
     """
     adam = init_adam(net)
     # Reused every step: a fresh 4.3 MB autoencoder gradient came back from malloc as new pages.
-    grads = ParamGrads(np.empty_like(net.params), net.shapes)
+    grads = Mlp(net.specs, np.empty_like(net.params))
     losses = np.empty(cfg.steps)
     for step, (x, pair) in zip(range(cfg.steps), batches):
         out, cache = _forward_cached(net, x)

@@ -7,18 +7,18 @@ convolutions.
 
 A network is its layer specs plus one flat vector.  An :class:`Mlp`
 keeps all its weights and biases in one contiguous vector, ``params``,
-laid out layer after layer as the weight (row-major) then the bias;
-:class:`ParamGrads` is the one place that knows that layout, and each
-layer's ``weight`` and ``bias`` are its views into ``params``.  Backward
-writes every gradient into a vector of the same layout (the trainers reuse
-one across steps), Adam keeps its two moments as two more, and one Adam
-update is a fixed sequence of in-place operations over those vectors.  The
-arithmetic is that of the textbook per-array forms, operation for
-operation, so the flat layout changes no result bit.
+laid out layer after layer as the weight (row-major) then the bias; it is
+the one place that knows that layout, and each layer's ``weight`` and
+``bias`` are its views into ``params``.  A gradient is an :class:`Mlp` of
+the same specs whose layers hold dW and db (the trainers reuse one across
+steps), Adam keeps its two moments as two more vectors of that layout, and
+one Adam update is a fixed sequence of in-place operations over those
+vectors.  The arithmetic is that of the textbook per-array forms, operation
+for operation, so the flat layout changes no result bit.
 
-Training tensors default to float32; gradient-check tests build float64
-networks via the ``dtype`` argument.  All operations are deterministic for
-a fixed seed and data order.
+Parameters are float32 or float64: networks start as float32, and
+gradient-check tests build float64 ones from a cast vector.  All operations
+are deterministic for a fixed seed and data order.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import json
 import zipfile
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from math import prod
 from pathlib import Path
 from typing import NamedTuple
 
@@ -81,62 +80,23 @@ class Layer(NamedTuple):
     spec: LayerSpec
 
 
-Shapes = list[tuple[tuple[int, ...], tuple[int, ...]]]
-
-
-def _shapes(specs) -> Shapes:
-    return [((s.out_dim, s.in_dim), (s.out_dim,)) for s in specs]
-
-
-def _size(shapes: Shapes) -> int:
-    return sum(prod(w) + prod(b) for w, b in shapes)
-
-
-class ParamGrads(tuple):
-    """One (weight-shaped, bias-shaped) array pair per layer, in layer order.
-
-    Every array is a view into ``flat``, one contiguous vector laid out like
-    :attr:`Mlp.params`; a vector of another size raises :class:`SizeMismatch`.
-    A network's layers, its gradients and :class:`AdamState`'s moments all
-    take this form.
-    """
-
-    flat: np.ndarray
-
-    def __new__(cls, flat: np.ndarray, shapes: Shapes) -> ParamGrads:
-        if flat.size != _size(shapes):
-            raise SizeMismatch(f"a {flat.size}-entry vector does not hold layers of shapes {shapes}")
-        pairs, pos = [], 0
-        for w_shape, b_shape in shapes:
-            w = flat[pos : pos + prod(w_shape)].reshape(w_shape)
-            pos += w.size
-            b = flat[pos : pos + prod(b_shape)].reshape(b_shape)
-            pos += b.size
-            pairs.append((w, b))
-        self = super().__new__(cls, pairs)
-        self.flat = flat
-        return self
-
-    @classmethod
-    def packed(cls, pairs, dtype: np.dtype) -> ParamGrads:
-        """Copy (weight, bias) array pairs into one new vector of ``dtype``."""
-        arrays = [np.asarray(a) for pair in pairs for a in pair]
-        flat = np.concatenate([a.ravel() for a in arrays], dtype=dtype)
-        return cls(flat, [(w.shape, b.shape) for w, b in zip(arrays[::2], arrays[1::2])])
+def _param_count(specs) -> int:
+    return sum(s.out_dim * s.in_dim + s.out_dim for s in specs)
 
 
 @dataclass(eq=False)
 class Mlp:
     """A network: its layer specs plus one flat parameter vector.
 
-    ``params`` must be a 1-D, C-contiguous, writable float vector holding
-    exactly the specs' weights and biases; the net adopts it without a copy.
-    ``layers`` holds one :class:`Layer` per spec whose ``weight`` and
-    ``bias`` are views into ``params``, so writing either (in place) or
-    ``params`` changes the same numbers.  No specs, or specs whose input
-    dimension is not the previous output dimension, raise
-    :class:`SpecError`, as does a vector of another kind; a vector of
-    another length raises :class:`SizeMismatch`.
+    ``params`` must be a 1-D, C-contiguous, writable float32 or float64
+    vector holding exactly the specs' weights and biases; the net adopts it
+    without a copy.  ``layers`` holds one :class:`Layer` per spec whose
+    ``weight`` and ``bias`` are views into ``params``, so writing either (in
+    place) or ``params`` changes the same numbers.  No specs, or specs whose
+    input dimension is not the previous output dimension, raise
+    :class:`SpecError`, as does a vector of another kind or dtype (Adam's
+    1e-8 offset rounds to zero in float16); a vector of another length
+    raises :class:`SizeMismatch`.
 
     Mutable training state: a single trainer owns an Mlp at a time.
     Forward passes on an Mlp nobody is mutating are safe from any thread.
@@ -159,11 +119,19 @@ class Mlp:
         p = self.params
         # On a strided vector reshape would copy, and the layers would stop being views.
         if not (
-            isinstance(p, np.ndarray) and p.ndim == 1 and p.dtype.kind == "f"
+            isinstance(p, np.ndarray) and p.ndim == 1 and p.dtype in (np.float32, np.float64)
             and p.flags.c_contiguous and p.flags.writeable
         ):
-            raise SpecError("params must be a 1-D, C-contiguous, writable float vector")
-        self.layers = tuple(Layer(w, b, s) for (w, b), s in zip(ParamGrads(p, self.shapes), self.specs))
+            raise SpecError("params must be a 1-D, C-contiguous, writable float32 or float64 vector")
+        if p.size != (n := _param_count(self.specs)):
+            raise SizeMismatch(f"a {p.size}-entry vector does not hold the layers' {n} parameters")
+        layers, pos = [], 0
+        for s in self.specs:
+            w = p[pos : pos + s.out_dim * s.in_dim].reshape(s.out_dim, s.in_dim)
+            pos += w.size
+            layers.append(Layer(w, p[pos : pos + s.out_dim], s))
+            pos += s.out_dim
+        self.layers = tuple(layers)
 
     def __reduce__(self) -> tuple[type[Mlp], tuple]:
         return Mlp, (self.specs, self.params)
@@ -184,20 +152,16 @@ class Mlp:
     def param_count(self) -> int:
         return self.params.size
 
-    @property
-    def shapes(self) -> Shapes:
-        return _shapes(self.specs)
 
-
-def init_mlp(specs: list[LayerSpec], seed: int, dtype: type = np.float32) -> Mlp:
-    """Build a network with uniform fan-in-scaled weights and zero biases.
+def init_mlp(specs: list[LayerSpec], seed: int) -> Mlp:
+    """Build a float32 network with uniform fan-in-scaled weights and zero biases.
 
     Weights are drawn uniformly from +-sqrt(6 / fan_in) (He-style scaling
     for the LeakyReLU stacks used here), layer by layer.  Deterministic per
     seed.
     """
     rng = np.random.default_rng(seed)
-    net = Mlp(specs, np.zeros(_size(_shapes(specs)), dtype=dtype))
+    net = Mlp(specs, np.zeros(_param_count(specs), dtype=np.float32))
     for layer in net.layers:
         bound = np.sqrt(6.0 / layer.spec.in_dim)
         # The float64 draw is cast once, straight into the flat vector.
@@ -269,13 +233,11 @@ def forward(net: Mlp, batch: PointSet) -> PointSet:
     return PointSet(out)
 
 
-def _backward_from_cache(
-    net: Mlp, cache: list[np.ndarray], output_grad: np.ndarray, grads: ParamGrads
-) -> ParamGrads:
+def _backward_from_cache(net: Mlp, cache: list[np.ndarray], output_grad: np.ndarray, grads: Mlp) -> Mlp:
     """Backprop dL/d(output) through cached activations.
 
-    Writes the per-layer (dW, db) into ``grads``, laid out like the net's
-    parameters, and returns it; the input gradient is never formed.
+    Writes each layer's dW and db into ``grads.layers``, an :class:`Mlp` of
+    the net's specs, and returns it; the input gradient is never formed.
     """
     g = np.ascontiguousarray(output_grad, dtype=net.dtype)
     if g.shape != cache[-1].shape:
@@ -283,21 +245,23 @@ def _backward_from_cache(
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         gz = _activation_backward(g, cache[i + 1], layer.spec)
-        dw, db = grads[i]
-        np.matmul(gz.T, cache[i], out=dw)
-        np.sum(gz, axis=0, out=db)
+        np.matmul(gz.T, cache[i], out=grads.layers[i].weight)
+        np.sum(gz, axis=0, out=grads.layers[i].bias)
         if i > 0:
             g = gz @ layer.weight
     return grads
 
 
-def backward(net: Mlp, batch: PointSet, output_grad: np.ndarray) -> ParamGrads:
-    """Gradients of L = sum(output_grad * forward(net, batch)) for all params."""
+def backward(net: Mlp, batch: PointSet, output_grad: np.ndarray) -> Mlp:
+    """Gradients of L = sum(output_grad * forward(net, batch)) for all params.
+
+    They come as an :class:`Mlp` of the net's specs: its ``layers`` hold dW
+    and db, and its :attr:`Mlp.params` the flat gradient vector.
+    """
     if batch.d != net.in_dim:
         raise SizeMismatch(f"network expects input dim {net.in_dim}, got {batch.d}")
     _, cache = _forward_cached(net, batch.data)
-    grads = ParamGrads(np.empty_like(net.params), net.shapes)
-    return _backward_from_cache(net, cache, output_grad, grads)
+    return _backward_from_cache(net, cache, output_grad, Mlp(net.specs, np.empty_like(net.params)))
 
 
 # Adam sweeps its flat vectors in blocks of this many entries: the block's
@@ -310,60 +274,58 @@ _B1, _B2, _EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment buffers plus the step counter.
+    """Adam's first and second moments plus the step counter.
 
-    ``m`` and ``v`` are :class:`ParamGrads` laid out like the net's
-    parameters.  ``t`` must be an integer >= 0, else :class:`SpecError`.
+    ``m`` and ``v`` are flat vectors laid out like the net's
+    :attr:`Mlp.params`.  ``t`` must be an integer >= 0, else
+    :class:`SpecError`.
     """
 
-    m: ParamGrads
-    v: ParamGrads
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.m, ParamGrads) and isinstance(self.v, ParamGrads)):
-            raise SpecError(f"Adam moments must be ParamGrads, got {type(self.m).__name__}, {type(self.v).__name__}")
         # bool is an int subclass, but no count.
         if not (isinstance(self.t, int) and not isinstance(self.t, bool) and self.t >= 0):
             raise SpecError(f"invalid Adam step count t={self.t!r}: needs an integer t >= 0")
-        self.scratch = np.empty((2, min(self.m.flat.size, _ADAM_BLOCK)), dtype=self.m.flat.dtype)
+        self.scratch = np.empty((2, min(self.m.size, _ADAM_BLOCK)), dtype=self.m.dtype)
 
 
 def init_adam(net: Mlp) -> AdamState:
-    zeros = lambda: ParamGrads(np.zeros_like(net.params), net.shapes)
-    return AdamState(m=zeros(), v=zeros())
+    return AdamState(m=np.zeros_like(net.params), v=np.zeros_like(net.params))
 
 
-def adam_step(net: Mlp, grads: ParamGrads, state: AdamState, lr: float) -> tuple[Mlp, AdamState]:
+def adam_step(net: Mlp, grads: Mlp, state: AdamState, lr: float) -> tuple[Mlp, AdamState]:
     """One bias-corrected Adam update, in place; returns the updated pair.
 
-    ``grads`` is a :class:`ParamGrads` (else :class:`SpecError`) laid out
-    like the net's parameters, one (dW, db) pair per layer of its
-    parameter's shape (else :class:`SizeMismatch`); one of another
-    dtype is first copied into the net's.  ``lr`` must be finite and
-    positive, else :class:`SpecError`.  Raises :class:`NonFiniteGradient`
-    before touching any parameter if a gradient entry is NaN or infinite.
+    ``grads`` is an :class:`Mlp` (else :class:`SpecError`) of the net's
+    specs (else :class:`SizeMismatch`), as :func:`backward` returns; one of
+    the other float dtype is cast to the net's.  ``state`` must hold moments
+    of the net's size, else :class:`SizeMismatch`.  ``lr`` must be finite
+    and positive, else :class:`SpecError`.  Raises
+    :class:`NonFiniteGradient` before touching any parameter if a gradient
+    entry is NaN or infinite in the net's dtype.
     """
     _rate(lr, "learning rate")
-    if not isinstance(grads, ParamGrads):
-        raise SpecError(f"gradients must be ParamGrads, got {type(grads).__name__}")
-    shapes = [(gw.shape, gb.shape) for gw, gb in grads]
-    if shapes != net.shapes:
-        raise SizeMismatch(f"gradients have shapes {shapes}, expected {net.shapes}")
-    if state.m.flat.shape != net.params.shape or state.v.flat.shape != net.params.shape:
-        raise SizeMismatch(f"Adam moments hold {state.m.flat.size} entries, the net {net.param_count}")
-    if grads.flat.dtype != net.dtype:
-        grads = ParamGrads.packed(grads, net.dtype)
-    g = grads.flat
+    if not isinstance(grads, Mlp):
+        raise SpecError(f"gradients must be an Mlp, got {type(grads).__name__}")
+    if grads.specs != net.specs:
+        raise SizeMismatch(f"gradients have layers {grads.specs}, the net {net.specs}")
+    if state.m.shape != net.params.shape or state.v.shape != net.params.shape:
+        raise SizeMismatch(f"Adam moments hold {state.m.size} entries, the net {net.param_count}")
+    g = grads.params.astype(net.dtype, copy=False)
     # min and max propagate NaN, so two reductions stand in for a mask.
     if not (np.isfinite(g.min()) and np.isfinite(g.max())):
-        bad = next(i for i, (gw, gb) in enumerate(grads) if not (np.isfinite(gw).all() and np.isfinite(gb).all()))
+        # The cast can overflow, so the layers searched are views of g.
+        layers = Mlp(net.specs, g).layers
+        bad = next(i for i, l in enumerate(layers) if not (np.isfinite(l.weight).all() and np.isfinite(l.bias).all()))
         raise NonFiniteGradient(f"non-finite gradient in layer {bad} at Adam step {state.t + 1}")
     state.t += 1
     c1 = 1.0 - _B1 ** state.t
     c2 = 1.0 - _B2 ** state.t
-    p, m, v = net.params, state.m.flat, state.v.flat
+    p, m, v = net.params, state.m, state.v
     for lo in range(0, p.size, _ADAM_BLOCK):
         hi = lo + _ADAM_BLOCK
         pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
@@ -451,7 +413,8 @@ def load_checkpoint(path: str | Path) -> Mlp:
       names a dtype that is not a float type;
     - a layer spec is invalid, or the layers do not chain;
     - ``params`` is not a vector of the specs' parameter count in the
-      header's dtype (the error also names the array).
+      header's dtype (the error also names the array), or that dtype is
+      neither float32 nor float64.
 
     The net adopts the loaded vector.  Header keys beyond these are ignored.
     """
@@ -465,6 +428,6 @@ def load_checkpoint(path: str | Path) -> Mlp:
                 raise SpecError("not an npz checkpoint: holds a single array")
             dtype, specs = _read_meta(data)
             # Arrays read from an npz are fresh, writable and C-contiguous, so they can be adopted.
-            return Mlp(specs, _checked_params(data, (_size(_shapes(specs)),), dtype))
+            return Mlp(specs, _checked_params(data, (_param_count(specs),), dtype))
         except SpecError as exc:
             raise SpecError(f"{path}: {exc}") from exc

@@ -17,7 +17,7 @@ from otmap.errors import SizeMismatch, SpecError
 from otmap.mappers import TrainConfig, _epoch_indices
 from otmap.nn import (
     Activation,
-    ParamGrads,
+    Mlp,
     _activation_backward,
     _forward_cached,
     adam_step,
@@ -36,15 +36,15 @@ def tiny_images(n=64, h=6, w=6, seed=0):
 
 
 def backward_with_input_grad(net, cache, output_grad):
-    # Every layer's (dW, db), packed like the net's parameters, and the
-    # gradient wrt the net's input.
+    # Every layer's (dW, db), as an Mlp of the net's specs, and the gradient
+    # wrt the net's input.
     g = np.ascontiguousarray(output_grad, dtype=net.dtype)
     grads = []
     for i in reversed(range(len(net.layers))):
         gz = _activation_backward(g, cache[i + 1], net.layers[i].spec)
         grads.append((gz.T @ cache[i], gz.sum(axis=0)))
         g = gz @ net.layers[i].weight
-    return ParamGrads.packed(grads[::-1], net.dtype), g
+    return Mlp(net.specs, np.concatenate([a.ravel() for pair in grads[::-1] for a in pair], dtype=net.dtype)), g
 
 
 def two_net_reference(images, spec, cfg):
@@ -139,7 +139,7 @@ class TestTraining:
         assert np.array_equal(result.losses.view(np.uint64), losses.view(np.uint64))
         assert np.array_equal(result.encoder.params.view(np.uint32), encoder.params.view(np.uint32))
         assert np.array_equal(result.decoder.params.view(np.uint32), decoder.params.view(np.uint32))
-        assert result.encoder.shapes == encoder.shapes and result.decoder.shapes == decoder.shapes
+        assert result.encoder.specs == encoder.specs and result.decoder.specs == decoder.specs
 
     def test_batches_sweep_epochs_without_replacement(self, monkeypatch):
         # n=10, batch 4: two disjoint batches per epoch, then the remainder

@@ -239,6 +239,10 @@ class TestImageBatch:
         with pytest.raises(SpecError, match="need an integer"):
             ImageBatch(pixels=np.zeros((1, 4)), h=h, w=w)
 
+    def test_rejects_no_images(self):
+        with pytest.raises(SpecError, match="image count n >= 1, got 0"):
+            ImageBatch(pixels=np.zeros((0, 36), np.float32), h=6, w=6)
+
     def test_stores_numpy_integer_dimensions_as_int(self):
         batch = ImageBatch(pixels=np.zeros((1, 6)), h=np.int64(2), w=np.uint8(3))
         assert (type(batch.h), type(batch.w)) == (int, int) and (batch.h, batch.w) == (2, 3)

@@ -19,7 +19,7 @@ from otmap.mappers import (
     train_otgen,
     train_ottrans,
 )
-from otmap.nn import Activation, LayerSpec, forward, init_mlp
+from otmap.nn import Activation, LayerSpec, Mlp, forward, init_mlp
 from otmap.ot import PointSet, ot_divergence, pairwise_cost, solve_assignment
 
 
@@ -27,7 +27,7 @@ def small_mapper(seed=0, in_dim=2, out_dim=2, width=64, hidden=2, dtype=np.float
     dims = [in_dim] + [width] * hidden
     specs = [LayerSpec(i, o, Activation.LEAKY_RELU) for i, o in zip(dims, dims[1:])]
     specs.append(LayerSpec(dims[-1], out_dim, Activation.IDENTITY))
-    return init_mlp(specs, seed=seed, dtype=dtype)
+    return Mlp(specs, init_mlp(specs, seed=seed).params.astype(dtype))
 
 
 def mean_pair_distance(x: np.ndarray) -> float:
@@ -224,7 +224,7 @@ class TestPoolSampler:
 
 class TestGenerate:
     def test_identity_network_reproduces_prior(self):
-        net = init_mlp([LayerSpec(2, 2, Activation.IDENTITY)], seed=0, dtype=np.float64)
+        net = Mlp([LayerSpec(2, 2, Activation.IDENTITY)], np.zeros(6))
         net.layers[0].weight[:] = np.eye(2)
         prior = PriorSpec(dim=2, seed=123)
         out = generate(net, prior, 50)
@@ -366,7 +366,7 @@ class TestTrainOtgen:
         z = PointSet(rng.normal(size=(k, 2)) * 2.0)
 
         from otmap.mappers import _squared_cost_and_grad
-        from otmap.nn import ParamGrads, _backward_from_cache, _forward_cached
+        from otmap.nn import _backward_from_cache, _forward_cached
 
         out, cache = _forward_cached(net, noise.data)
         sigma = solve_assignment(pairwise_cost(PointSet(out), z))
@@ -379,9 +379,8 @@ class TestTrainOtgen:
 
         _, out_grad = _squared_cost_and_grad(out, z.data[sigma.perm], k)
         _, div_grad = diversity_penalty(PointSet(out), z)
-        grads = ParamGrads(np.empty_like(net.params), net.shapes)
-        _backward_from_cache(net, cache, out_grad + lam * div_grad, grads)
-        analytic = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in grads])
+        grads = Mlp(net.specs, np.empty_like(net.params))
+        analytic = _backward_from_cache(net, cache, out_grad + lam * div_grad, grads).params
 
         h = 1e-5
         fd = np.empty_like(analytic)

@@ -18,7 +18,6 @@ from otmap.nn import (
     AdamState,
     LayerSpec,
     Mlp,
-    ParamGrads,
     _activate,
     _activation_backward,
     _forward_cached,
@@ -57,10 +56,6 @@ def reference_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
                 h = z
         out[r] = h
     return out
-
-
-def flatten_grads(grads) -> np.ndarray:
-    return np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in grads])
 
 
 def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
@@ -106,12 +101,17 @@ def reference_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8)
         param -= lr * (mp / c1) / (np.sqrt(vp / c2) + eps)
 
 
-def grads_of(net: Mlp, pairs) -> ParamGrads:
-    """(dW, db) array pairs packed as Adam takes them, in the net's dtype."""
-    return ParamGrads.packed(pairs, net.dtype)
+def init_mlp64(specs, seed: int) -> Mlp:
+    """The net init_mlp builds, its vector cast to float64."""
+    return Mlp(specs, init_mlp(specs, seed).params.astype(np.float64))
 
 
-def wide_grads(net: Mlp, rng: np.random.Generator) -> ParamGrads:
+def grads_of(net: Mlp, pairs) -> Mlp:
+    """(dW, db) array pairs as Adam takes them: an Mlp of the net's specs, in its dtype."""
+    return Mlp(net.specs, np.concatenate([np.ravel(a) for pair in pairs for a in pair], dtype=net.dtype))
+
+
+def wide_grads(net: Mlp, rng: np.random.Generator) -> Mlp:
     """Random gradients whose magnitudes span 1e-3 to 1e3, in the net's dtype."""
     return grads_of(
         net,
@@ -167,15 +167,14 @@ class TestInit:
         bound = np.sqrt(6.0 / 6)
         assert np.abs(net.layers[0].weight).max() <= bound
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_weights_are_the_cast_float64_draws(self, dtype):
+    def test_weights_are_the_cast_float64_draws(self):
         specs = [LayerSpec(2, 16), LayerSpec(16, 8), LayerSpec(8, 2, Activation.IDENTITY)]
-        net = init_mlp(specs, seed=3, dtype=dtype)
+        net = init_mlp(specs, seed=3)
         rng = np.random.default_rng(3)
         for spec, layer in zip(specs, net.layers):
             bound = np.sqrt(6.0 / spec.in_dim)
-            expected = rng.uniform(-bound, bound, size=(spec.out_dim, spec.in_dim)).astype(dtype)
-            assert layer.weight.dtype == dtype
+            expected = rng.uniform(-bound, bound, size=(spec.out_dim, spec.in_dim)).astype(np.float32)
+            assert layer.weight.dtype == np.float32
             assert layer.weight.tobytes() == expected.tobytes()
             assert np.shares_memory(layer.weight, net.params)
 
@@ -214,11 +213,12 @@ class TestFlatStorage:
         [
             np.zeros((1, 9)),
             np.zeros(9, dtype=np.int64),
+            np.zeros(9, dtype=np.float16),
             np.zeros(18)[::2],
             np.zeros(9).tolist(),
             "read-only",
         ],
-        ids=["2-d", "integer", "strided", "list", "read-only"],
+        ids=["2-d", "integer", "float16", "strided", "list", "read-only"],
     )
     def test_rejects_vectors_it_cannot_view(self, vector):
         if isinstance(vector, str):
@@ -260,7 +260,7 @@ class TestForward:
 
     def test_leaky_relu_definition(self):
         assert LEAKY_SLOPE == 0.01
-        net = init_mlp([LayerSpec(1, 1, Activation.LEAKY_RELU)], seed=0, dtype=np.float64)
+        net = init_mlp64([LayerSpec(1, 1, Activation.LEAKY_RELU)], seed=0)
         net.layers[0].weight[:] = 1.0
         out = forward(net, PointSet([[-3.0]]))
         assert out.data[0, 0] == pytest.approx(-0.03)
@@ -271,7 +271,7 @@ class TestForward:
             LayerSpec(7, 5, Activation.SIGMOID),
             LayerSpec(5, 3, Activation.IDENTITY),
         ]
-        net = init_mlp(specs, seed=11, dtype=np.float64)
+        net = init_mlp64(specs, seed=11)
         x = np.random.default_rng(12).normal(size=(4, 2))
         fast = forward(net, PointSet(x))
         slow = reference_forward(net, x)
@@ -318,18 +318,18 @@ class TestBackward:
         net = init_mlp([LayerSpec(2, 4), LayerSpec(4, 2)], seed=0)
         batch = PointSet(np.random.default_rng(0).normal(size=(3, 2)))
         grads = backward(net, batch, np.zeros((3, 2)))
-        assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
+        assert grads.specs == net.specs and not grads.params.any()
 
     def test_single_linear_layer_closed_form(self):
-        net = init_mlp([LayerSpec(3, 2, Activation.IDENTITY)], seed=1, dtype=np.float64)
+        net = init_mlp64([LayerSpec(3, 2, Activation.IDENTITY)], seed=1)
         x = np.array([[1.0, -2.0, 0.5]])
         g = np.array([[0.3, -0.7]])
         grads = backward(net, PointSet(x), g)
-        np.testing.assert_allclose(grads[0][0], g.T @ x, rtol=1e-12)
-        np.testing.assert_allclose(grads[0][1], g[0], rtol=1e-12)
+        np.testing.assert_allclose(grads.layers[0].weight, g.T @ x, rtol=1e-12)
+        np.testing.assert_allclose(grads.layers[0].bias, g[0], rtol=1e-12)
 
     def _finite_difference_check(self, specs, seed, k, kink_margin=0.0):
-        net = init_mlp(specs, seed=seed, dtype=np.float64)
+        net = init_mlp64(specs, seed=seed)
         rng = np.random.default_rng(seed + 1)
         x = rng.normal(size=(k, specs[0].in_dim))
         out_grad = rng.normal(size=(k, specs[-1].out_dim))
@@ -344,7 +344,7 @@ class TestBackward:
                 if spec.activation is Activation.LEAKY_RELU
             ))
 
-        analytic = flatten_grads(backward(net, batch, out_grad))
+        analytic = backward(net, batch, out_grad).params
 
         def loss() -> float:
             out = forward(net, batch)
@@ -416,7 +416,7 @@ class TestAdam:
     def test_first_step_magnitude_is_lr(self):
         # Bias-corrected first step: m_hat = g, v_hat = g^2, so the update is
         # lr * g / (|g| + eps') with magnitude ~ lr regardless of g.
-        net = init_mlp([LayerSpec(1, 1, Activation.IDENTITY)], seed=0, dtype=np.float64)
+        net = init_mlp64([LayerSpec(1, 1, Activation.IDENTITY)], seed=0)
         w0 = float(net.layers[0].weight[0, 0])
         state = init_adam(net)
         grads = grads_of(net, [(np.array([[0.5]]), np.array([0.0]))])
@@ -452,7 +452,7 @@ class TestAdam:
         # 300 * 300 weights put the second layer across an Adam block boundary.
         specs = [LayerSpec(4, 300), LayerSpec(300, 300), LayerSpec(300, 3, Activation.IDENTITY)]
         assert init_mlp(specs, seed=0).param_count > _ADAM_BLOCK
-        net = init_mlp(specs, seed=8, dtype=dtype)
+        net = Mlp(specs, init_mlp(specs, seed=8).params.astype(dtype))
         params = [p.copy() for l in net.layers for p in (l.weight, l.bias)]
         m = [np.zeros_like(p) for p in params]
         v = [np.zeros_like(p) for p in params]
@@ -461,11 +461,10 @@ class TestAdam:
         for t in range(1, 51):
             grads = wide_grads(net, rng)
             adam_step(net, grads, state, lr=1e-3)
-            reference_adam(params, [g for pair in grads for g in pair], m, v, t, lr=1e-3)
+            reference_adam(params, [g for l in grads.layers for g in (l.weight, l.bias)], m, v, t, lr=1e-3)
         assert state.t == 50
-        ours = [p for l in net.layers for p in (l.weight, l.bias)]
-        for got, want in zip(ours + list(sum(state.m, ())) + list(sum(state.v, ())), params + m + v):
-            assert_same_bits(got, want)
+        for got, want in zip([net.params, state.m, state.v], [params, m, v]):
+            assert_same_bits(got, np.concatenate([a.ravel() for a in want]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gradient_names_its_layer(self, bad):
@@ -477,38 +476,52 @@ class TestAdam:
         for layer in range(3):
             for which in range(2):
                 grads = backward(net, PointSet(rng.normal(size=(5, 2))), rng.normal(size=(5, 2)))
-                grads[layer][which].flat[-1] = bad
-                before = [net.params.copy(), state.m.flat.copy(), state.v.flat.copy()]
+                grads.layers[layer][which].flat[-1] = bad
+                before = [net.params.copy(), state.m.copy(), state.v.copy()]
                 with pytest.raises(NonFiniteGradient, match=f"layer {layer} at Adam step 3"):
                     adam_step(net, grads, state, lr=1e-3)
-                for got, want in zip([net.params, state.m.flat, state.v.flat], before):
+                for got, want in zip([net.params, state.m, state.v], before):
                     assert_same_bits(got, want)
                 assert state.t == 2
+
+    def test_casts_gradients_of_the_other_float_dtype(self):
+        specs = [LayerSpec(2, 4), LayerSpec(4, 2, Activation.IDENTITY)]
+        net, twin = init_mlp(specs, seed=1), init_mlp(specs, seed=1)
+        state, twin_state = init_adam(net), init_adam(twin)
+        wide = wide_grads(init_mlp64(specs, seed=1), np.random.default_rng(3))
+        adam_step(net, wide, state, lr=1e-3)
+        adam_step(twin, Mlp(specs, wide.params.astype(np.float32)), twin_state, lr=1e-3)
+        assert_same_bits(net.params, twin.params)
+        # Finite in float64 but not once cast to the net's float32.
+        wide.layers[1].bias[0] = 1e300
+        with pytest.raises(NonFiniteGradient, match="layer 1 at Adam step 2"), np.errstate(over="ignore"):
+            adam_step(net, wide, state, lr=1e-3)
+        assert state.t == 1
 
     def test_rejects_gradients_of_the_wrong_shape(self):
         net = init_mlp([LayerSpec(2, 3)], seed=0)
         state = init_adam(net)
-        for pairs in ([(np.zeros((3, 2)), np.zeros(1))], [(np.zeros((2, 3)), np.zeros(3))]):
-            with pytest.raises(SizeMismatch):
-                adam_step(net, grads_of(net, pairs), state, lr=1e-3)
+        for specs in ([LayerSpec(3, 2)], [LayerSpec(2, 3), LayerSpec(3, 1)]):
+            with pytest.raises(SizeMismatch, match="gradients have layers"):
+                adam_step(net, init_mlp(specs, seed=0), state, lr=1e-3)
         assert state.t == 0
 
-    def test_rejects_gradients_of_the_right_size_but_the_wrong_layout(self):
-        net = init_mlp([LayerSpec(2, 3), LayerSpec(3, 1)], seed=0)
-        state = init_adam(net)
-        shapes = [((2, 3), (3,)), ((1, 3), (1,))], [((3, 3), (0,)), ((1, 3), (1,))], [((3, 2), (3,)), ((4,), (0,))]
-        for layout in shapes:
-            with pytest.raises(SizeMismatch):
-                adam_step(net, ParamGrads(np.zeros(net.param_count, dtype=net.dtype), layout), state, lr=1e-3)
-        assert state.t == 0
-
-    def test_rejects_gradients_that_are_not_param_grads(self):
+    def test_rejects_gradients_that_are_not_an_mlp(self):
         net = init_mlp([LayerSpec(2, 3)], seed=0)
         state = init_adam(net)
         pairs = [(np.zeros((3, 2), dtype=np.float32), np.zeros(3, dtype=np.float32))]
         for grads in (pairs, tuple(pairs), np.zeros(9, dtype=np.float32)):
-            with pytest.raises(SpecError, match="ParamGrads"):
+            with pytest.raises(SpecError, match="Mlp"):
                 adam_step(net, grads, state, lr=1e-3)
+        assert state.t == 0
+
+    def test_rejects_moments_of_another_net(self):
+        net = init_mlp([LayerSpec(2, 3)], seed=0)
+        state = init_adam(init_mlp([LayerSpec(2, 4)], seed=0))
+        before = net.params.copy()
+        with pytest.raises(SizeMismatch, match="Adam moments hold 12 entries, the net 9"):
+            adam_step(net, wide_grads(net, np.random.default_rng(0)), state, lr=1e-3)
+        assert_same_bits(net.params, before)
         assert state.t == 0
 
     @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, 0.0, -1e-3, "x", None])
@@ -527,12 +540,6 @@ class TestAdam:
         moments = init_adam(net)
         with pytest.raises(SpecError, match="integer t"):
             AdamState(m=moments.m, v=moments.v, t=t)
-
-    def test_rejects_moments_that_are_not_param_grads(self):
-        net = init_mlp([LayerSpec(2, 3)], seed=0)
-        pairs = [(np.zeros((3, 2), dtype=np.float32), np.zeros(3, dtype=np.float32))]
-        with pytest.raises(SpecError, match="ParamGrads"):
-            AdamState(m=pairs, v=pairs)
 
     def test_deterministic_trajectories(self):
         def run():
@@ -567,7 +574,7 @@ class TestCheckpoints:
 
     def test_checkpoint_without_adam(self, tmp_path):
         # A checkpoint is the net alone: a header and the flat parameters, no optimizer state.
-        net = init_mlp([LayerSpec(2, 2)], seed=0, dtype=np.float64)
+        net = init_mlp64([LayerSpec(2, 2)], seed=0)
         path = tmp_path / "bare.npz"
         save_checkpoint(path, net)
         with np.load(path) as data:
@@ -653,7 +660,7 @@ class TestCheckpoints:
     @pytest.mark.parametrize(
         "damage",
         ["no-meta", "layer-without-activation", "bad-dim", "bad-activation", "no-layers", "int-dtype",
-         "version-1", "version-2", "not-npz", "empty", "truncated", "single-array"],
+         "float16-dtype", "version-1", "version-2", "not-npz", "empty", "truncated", "single-array"],
     )
     def test_rejects_malformed_file_naming_it(self, tmp_path, damage):
         net = init_mlp([LayerSpec(2, 4), LayerSpec(4, 2, Activation.IDENTITY)], seed=0)
@@ -671,6 +678,8 @@ class TestCheckpoints:
             self._rewrite(path, lambda meta: meta.update(layers=[]), params=None)
         elif damage == "int-dtype":
             self._rewrite(path, lambda meta: meta.update(dtype="int64"), params=np.arange(net.param_count))
+        elif damage == "float16-dtype":
+            self._rewrite(path, lambda meta: meta.update(dtype="float16"), params=net.params.astype(np.float16))
         elif damage == "version-1":
             # The older format: one array per layer weight and bias.
             layers = {f"{k}{i}": a for i, l in enumerate(net.layers) for k, a in (("w", l.weight), ("b", l.bias))}
