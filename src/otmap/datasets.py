@@ -194,36 +194,36 @@ _GLYPH_CHUNK = 256
 _GLYPH_SIDE = 28
 
 
-def _glyph_templates() -> np.ndarray:
-    """Bits of the 30 (digit, zoom) glyphs, shape (30, 56, 56), row ``3 * digit + zoom - 3``.
-
-    Each glyph sits with its top-left corner at (28, 28), so pixel (y, x) of
-    an image whose glyph starts at (top, left) is template pixel
-    (28 + y - top, 28 + x - left).
+# gaussian_filter's first pass runs down the rows and treats each column on its
+# own.  A glyph's canvas columns are z copies of its three font columns, and
+# zeros elsewhere, so that pass runs on the three font columns alone: equal
+# columns give equal bits, and zero columns give exactly +0.0.
+def _glyph_strips() -> np.ndarray:
+    """The three font columns of the 30 (digit, zoom) glyphs, zoomed down the
+    rows only: shape (30, 56, 3), row ``3 * digit + zoom - 3``.  A glyph's top
+    row is strip row 28, so image row y of a glyph at ``top`` is strip row
+    28 + y - top.
     """
     font = np.array([[int(ch) for ch in _GLYPH_FONT[d]] for d in range(10)], dtype=np.uint8)
     font = font.reshape(10, 5, 3)
-    table = np.zeros((10, 3, 2 * _GLYPH_SIDE, 2 * _GLYPH_SIDE), dtype=np.uint8)
+    table = np.zeros((10, 3, 2 * _GLYPH_SIDE, 3), dtype=np.uint8)
     for z in (3, 4, 5):
-        rows = slice(_GLYPH_SIDE, _GLYPH_SIDE + 5 * z)
-        cols = slice(_GLYPH_SIDE, _GLYPH_SIDE + 3 * z)
-        table[:, z - 3, rows, cols] = font.repeat(z, axis=1).repeat(z, axis=2)
-    return table.reshape(30, 2 * _GLYPH_SIDE, 2 * _GLYPH_SIDE)
+        table[:, z - 3, _GLYPH_SIDE : _GLYPH_SIDE + 5 * z] = font.repeat(z, axis=1)
+    return table.reshape(30, 2 * _GLYPH_SIDE, 3)
 
 
-def _blur_pass(images: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+def _blur_pass(padded: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
     """One pass of scipy.ndimage's symmetric ``correlate1d`` along ``axis`` (1 or 2).
 
-    ``images`` is (m, 28, 28); ``weights[:, j]`` is each image's weight at
-    offsets -j and +j.  The border is scipy's ``mode="reflect"``, which is
-    NumPy's ``"symmetric"`` pad.  The sum runs in float64 in scipy's order,
-    ``w0 * x`` and then ``+= (x[-j] + x[+j]) * wj`` for j = r down to 1, and
-    the result is rounded to float32 as scipy's float32 output is.
+    ``padded`` is float64 and already holds r = ``weights.shape[1] - 1``
+    border entries on each side of ``axis``, laid out as scipy's
+    ``mode="reflect"`` (NumPy's ``"symmetric"`` pad); the result is 28 long
+    along ``axis``.  ``weights[:, j]`` is each image's weight at offsets -j
+    and +j.  The sum runs in float64 in scipy's order, ``w0 * x`` and then
+    ``+= (x[-j] + x[+j]) * wj`` for j = r down to 1, and the result is
+    rounded to float32 as scipy's float32 output is.
     """
     r = weights.shape[1] - 1
-    pad = [(0, 0)] * 3
-    pad[axis] = (r, r)
-    padded = np.pad(images.astype(np.float64), pad, mode="symmetric")
 
     def shifted(offset: int) -> np.ndarray:
         window = [slice(None)] * 3
@@ -254,7 +254,9 @@ def make_glyphs(n: int, seed: int = 0) -> ImageBatch:
     ``float32(bit * intensity)`` into a zero float32 canvas and applies
     ``scipy.ndimage.gaussian_filter(canvas, sigma)`` (truncate 4,
     ``mode="reflect"``), and finally clips to [0, 1].  The images are built
-    in batches of the same radius instead, with the same arithmetic.
+    in batches of the same radius instead, with the same arithmetic.  The
+    vertical pass runs once per font column, not per canvas column: every
+    glyph column is a copy of one of three, and that pass keeps columns apart.
     Raises :class:`otmap.errors.InvalidCount` unless ``n`` is an integer >= 1 and
     :class:`SpecError` unless ``seed`` is a non-negative integer.
     """
@@ -268,12 +270,9 @@ def make_glyphs(n: int, seed: int = 0) -> ImageBatch:
     highs = np.stack([_GLYPH_SIDE - 5 * zooms, _GLYPH_SIDE - 3 * zooms], axis=1)
     top, left = rng.integers(1, highs).T
 
-    templates = _glyph_templates()
+    strips = _glyph_strips()
     kinds = 3 * digits + zooms - 3
-    side = np.arange(_GLYPH_SIDE)
-    rows = (_GLYPH_SIDE - top)[:, None] + side
-    cols = (_GLYPH_SIDE - left)[:, None] + side
-    values = intensities.astype(np.float32)
+    values = intensities.astype(np.float32).astype(np.float64)
     # gaussian_filter's kernel: radius int(4 sigma + 0.5), exp(-x^2 / (2 sigma^2)) over its sum.
     radii = (4.0 * blurs + 0.5).astype(np.int64)
     out = np.empty((n, _GLYPH_SIDE, _GLYPH_SIDE), dtype=np.float32)
@@ -283,13 +282,20 @@ def make_glyphs(n: int, seed: int = 0) -> ImageBatch:
         sigma2 = blurs[group] * blurs[group]
         phi = np.exp(-0.5 / sigma2[:, None] * offsets**2)
         weights = (phi / phi.sum(axis=1, keepdims=True))[:, r:]
+        # Canvas index of each symmetric-padded position: the pad is folded into the gathers.
+        side = np.pad(np.arange(_GLYPH_SIDE), r, mode="symmetric")
+        rows = (_GLYPH_SIDE - top[group, None]) + side
+        # Font column of each padded canvas column: (x - left) // zoom on the glyph, else 3 (zeros).
+        x = side - left[group, None]
+        cols = np.where((x >= 0) & (x < 3 * zooms[group, None]), x // zooms[group, None], 3)
         for start in range(0, len(group), _GLYPH_CHUNK):
             part = slice(start, start + _GLYPH_CHUNK)
             idx = group[part]
-            images = templates[kinds[idx, None, None], rows[idx, :, None], cols[idx, None, :]]
-            images = images * values[idx, None, None]
-            images = _blur_pass(images, weights[part], axis=1)
-            out[idx] = _blur_pass(images, weights[part], axis=2)
+            strip = strips[kinds[idx, None], rows[part]] * values[idx, None, None]
+            blurred = np.zeros((len(idx), _GLYPH_SIDE, 4))
+            blurred[:, :, :3] = _blur_pass(strip, weights[part], axis=1)
+            padded = np.take_along_axis(blurred, cols[part, None, :], axis=2)
+            out[idx] = _blur_pass(padded, weights[part], axis=2)
     pixels = out.reshape(n, _GLYPH_SIDE * _GLYPH_SIDE)
     np.clip(pixels, 0.0, 1.0, out=pixels)
     return ImageBatch(pixels=pixels, h=_GLYPH_SIDE, w=_GLYPH_SIDE, labels=digits.astype(np.uint8))

@@ -277,8 +277,8 @@ class AdamState:
     """Adam's first and second moments plus the step counter.
 
     ``m`` and ``v`` are flat vectors laid out like the net's
-    :attr:`Mlp.params`.  ``t`` must be an integer >= 0, else
-    :class:`SpecError`.
+    :attr:`Mlp.params`: 1-D float arrays of one size.  They and ``t``, an
+    integer >= 0, are checked on construction, else :class:`SpecError`.
     """
 
     m: np.ndarray
@@ -290,6 +290,11 @@ class AdamState:
         # bool is an int subclass, but no count.
         if not (isinstance(self.t, int) and not isinstance(self.t, bool) and self.t >= 0):
             raise SpecError(f"invalid Adam step count t={self.t!r}: needs an integer t >= 0")
+        for name, x in (("m", self.m), ("v", self.v)):
+            if not (isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind == "f"):
+                raise SpecError(f"Adam moment {name} must be a 1-D float array, got {type(x).__name__}")
+        if self.m.size != self.v.size:
+            raise SpecError(f"Adam moments differ in size: m has {self.m.size} entries, v {self.v.size}")
         self.scratch = np.empty((2, min(self.m.size, _ADAM_BLOCK)), dtype=self.m.dtype)
 
 

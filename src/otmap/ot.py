@@ -57,13 +57,21 @@ class PointSet:
     """A batch of k points in d dimensions, rows = points.
 
     The universal currency between modules.  Data is stored as a read-only
-    float64 array (unpickling validates it again); every entry must be finite.
+    float64 array (unpickling validates it again).  Every entry must be a
+    finite real number, else :class:`InvalidCost`; ragged or non-2-D input,
+    or no point, raises :class:`SizeMismatch`.
     """
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.data, dtype=np.float64, copy=True)
+        try:
+            raw = np.asarray(self.data)
+        except ValueError as exc:  # NumPy refuses ragged nested sequences
+            raise SizeMismatch(f"point set rows must all have the same length: {exc}") from None
+        if raw.dtype.kind not in "biuf":
+            raise InvalidCost(f"point set entries must be real numbers, got dtype {raw.dtype}")
+        arr = raw.astype(np.float64)
         if arr.ndim != 2:
             raise SizeMismatch(f"point set must be 2-D (k, d), got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -111,6 +119,18 @@ class CostMatrix:
         return pairwise_cost, self.points
 
 
+def _permutation(perm: np.ndarray) -> np.ndarray:
+    """``perm`` as an array if it is a 1-D integer permutation of 0..k-1, k >= 1; else :class:`SizeMismatch`."""
+    perm = np.asarray(perm)
+    k = len(perm) if perm.ndim == 1 else 0
+    in_range = k > 0 and perm.dtype.kind in "iu" and perm.min() >= 0 and perm.max() < k
+    if not (in_range and (np.bincount(perm.astype(np.intp), minlength=k) == 1).all()):
+        raise SizeMismatch(
+            f"perm must be a 1-D integer permutation of 0..k-1, got shape {perm.shape}, dtype {perm.dtype}"
+        )
+    return perm
+
+
 @dataclass(frozen=True)
 class Assignment:
     """A minimum-cost bijection between two equal-size point sets.
@@ -124,13 +144,7 @@ class Assignment:
     total_cost: float
 
     def __post_init__(self) -> None:
-        perm = np.asarray(self.perm)
-        k = len(perm) if perm.ndim == 1 else 0
-        in_range = k > 0 and perm.dtype.kind in "iu" and perm.min() >= 0 and perm.max() < k
-        if not (in_range and (np.bincount(perm.astype(np.intp), minlength=k) == 1).all()):
-            raise SizeMismatch(
-                f"perm must be a 1-D integer permutation of 0..k-1, got shape {perm.shape}, dtype {perm.dtype}"
-            )
+        _permutation(self.perm)
 
     @property
     def k(self) -> int:

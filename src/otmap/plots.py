@@ -14,6 +14,7 @@ import numpy as np
 
 from .datasets import ImageBatch
 from .errors import SizeMismatch, SpecError, _count
+from .ot import _permutation
 
 CANVAS = 640
 MARGIN_FRAC = 0.05
@@ -35,9 +36,12 @@ def write_feedback_svg(
 
     Red segments join each prediction to its matched target; green dots are
     the real targets, purple the predictions, blue the (optional) noise.
+    ``perm`` must be an integer permutation of 0..k-1 for the k predictions
+    and targets, as :class:`otmap.ot.Assignment` holds, else :class:`SizeMismatch`.
     """
     predictions = np.asarray(predictions, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
+    perm = _permutation(perm)
     if len(perm) != len(predictions) or len(targets) != len(predictions):
         raise SizeMismatch(
             f"feedback plot needs equal counts, got {len(predictions)} predictions, "
@@ -60,7 +64,7 @@ def write_feedback_svg(
         f'viewBox="0 0 {CANVAS} {CANVAS}">',
         f'<rect width="{CANVAS}" height="{CANVAS}" fill="white"/>',
     ]
-    for (xa, ya), (xb, yb) in zip(to_px(predictions), to_px(targets[np.asarray(perm)])):
+    for (xa, ya), (xb, yb) in zip(to_px(predictions), to_px(targets[perm])):
         parts.append(
             f'<line x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" y2="{yb:.2f}" stroke="{COLOR_SEGMENT}" stroke-width="1"/>'
         )
@@ -78,10 +82,15 @@ def write_feedback_svg(
 
 
 def write_pgm(path: str | Path, gray: np.ndarray) -> None:
-    """Write a (H, W) array of [0, 1] grays as binary PGM (P5, maxval 255)."""
+    """Write a (H, W) array of [0, 1] grays as binary PGM (P5, maxval 255).
+
+    Grays outside [0, 1] are clipped; a NaN or infinite gray raises :class:`SpecError`.
+    """
     gray = np.asarray(gray)
     if gray.ndim != 2:
         raise SizeMismatch(f"PGM needs a 2-D gray image, got shape {gray.shape}")
+    if not np.isfinite(gray).all():
+        raise SpecError("PGM grays must be finite")
     data = np.clip(np.rint(gray * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as f:
         f.write(f"P5\n{gray.shape[1]} {gray.shape[0]}\n255\n".encode("ascii"))

@@ -144,20 +144,27 @@ class TestLoadIdx:
         assert np.abs(back.pixels - batch.pixels).max() <= 0.5 / 255.0 + 1e-7
 
 
-def glyphs_per_image(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reference corpus: one ``np.kron`` and one ``gaussian_filter`` per image."""
+def glyph_draws(n: int, seed: int) -> tuple[np.ndarray, ...]:
+    """The per-image construction's draws: digits, zooms, intensities and
+    blurs as arrays, then per image a ``top`` and a ``left`` offset."""
     rng = np.random.default_rng(seed)
     digits = rng.integers(0, 10, size=n)
     zooms = rng.integers(3, 6, size=n)
     intensities = rng.uniform(0.7, 1.0, size=n)
     blurs = rng.uniform(0.4, 1.0, size=n)
+    offsets = np.array([[rng.integers(1, 28 - 5 * z), rng.integers(1, 28 - 3 * z)] for z in zooms])
+    return digits, zooms, intensities, blurs, offsets[:, 0], offsets[:, 1]
+
+
+def glyphs_per_image(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference corpus: one ``np.kron`` and one ``gaussian_filter`` per image."""
+    digits, zooms, intensities, blurs, tops, lefts = glyph_draws(n, seed)
     out = np.zeros((n, 28, 28), dtype=np.float32)
     for i in range(n):
         bits = np.array([int(ch) for ch in _GLYPH_FONT[int(digits[i])]], dtype=np.float32)
         glyph = np.kron(bits.reshape(5, 3), np.ones((zooms[i], zooms[i]), dtype=np.float32))
         gh, gw = glyph.shape
-        top = rng.integers(1, 28 - gh)
-        left = rng.integers(1, 28 - gw)
+        top, left = tops[i], lefts[i]
         out[i, top : top + gh, left : left + gw] = glyph * intensities[i]
         out[i] = gaussian_filter(out[i], sigma=blurs[i])
     return np.clip(out.reshape(n, 28 * 28), 0.0, 1.0), digits.astype(np.uint8)
@@ -188,6 +195,23 @@ class TestGlyphs:
         assert batch.pixels.dtype == np.float32 and batch.labels.dtype == np.uint8
         assert np.array_equal(batch.pixels.view(np.uint32), pixels.view(np.uint32))
         assert np.array_equal(batch.labels, labels)
+
+    def test_bit_equality_grid_covers_every_radius_and_border_case(self):
+        # The folded reflection and the column map can only go wrong at some
+        # (zoom, radius) pair or with a glyph at an edge: the grid above must
+        # keep drawing all nine pairs and, per zoom, top and left at 1 and at
+        # their largest (27 - 5 * zoom and 27 - 3 * zoom).
+        grid = {m.args[0]: m.args[1] for m in self.test_bit_equal_to_per_image_construction.pytestmark}
+        seen = set()
+        for n in grid["n"]:
+            for seed in grid["seed"]:
+                _, zooms, _, blurs, tops, lefts = glyph_draws(n, seed)
+                radii = (4.0 * blurs + 0.5).astype(int)
+                for z, r, top, left in zip(zooms.tolist(), radii.tolist(), tops.tolist(), lefts.tolist()):
+                    seen |= {("radius", z, r), ("top", z, top), ("left", z, left)}
+        for z in (3, 4, 5):
+            assert {("radius", z, r) for r in (2, 3, 4)} <= seen
+            assert {("top", z, 1), ("top", z, 27 - 5 * z), ("left", z, 1), ("left", z, 27 - 3 * z)} <= seen
 
     def test_peak_memory_within_twice_the_output(self):
         make_glyphs(8, seed=0)  # first call pays one-off imports

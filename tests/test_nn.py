@@ -541,6 +541,20 @@ class TestAdam:
         with pytest.raises(SpecError, match="integer t"):
             AdamState(m=moments.m, v=moments.v, t=t)
 
+    @pytest.mark.parametrize(
+        "m, v",
+        [
+            ([0.0] * 9, [0.0] * 9),
+            (np.zeros(9, dtype=np.int64), np.zeros(9)),
+            (np.zeros((3, 3)), np.zeros((3, 3))),
+            (np.zeros(9), np.zeros(8)),
+        ],
+        ids=["lists", "integer-m", "2-d", "sizes-differ"],
+    )
+    def test_rejects_moments_that_are_not_1d_float_arrays_of_one_size(self, m, v):
+        with pytest.raises(SpecError, match="Adam moment"):
+            AdamState(m=m, v=v)
+
     def test_deterministic_trajectories(self):
         def run():
             net = init_mlp([LayerSpec(2, 8), LayerSpec(8, 2, Activation.IDENTITY)], seed=3)

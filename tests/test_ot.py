@@ -3,6 +3,7 @@
 import itertools
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,27 @@ class TestPointSet:
     def test_rejects_1d(self):
         with pytest.raises(SizeMismatch):
             PointSet([1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "data",
+        [np.array([[1 + 2j, 0.0]]), np.array([[1.0 + 0j, 0.0]]), [["a", "b"]], [["1.0", "2.0"]], [[1.0, None]]],
+        ids=["complex", "complex-real-valued", "strings", "numeric-strings", "object"],
+    )
+    def test_rejects_entries_that_are_not_real_numbers(self, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning on the way to the error
+            with pytest.raises(InvalidCost, match="real numbers"):
+                PointSet(data)
+
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(SizeMismatch, match="same length"):
+            PointSet([[1.0, 2.0], [3.0]])
+
+    @pytest.mark.parametrize("data", [[[1, 2], [3, 4]], np.array([[True, False]]), np.ones((2, 3), np.float32)])
+    def test_integer_bool_and_float32_entries_become_float64(self, data):
+        ps = PointSet(data)
+        assert ps.data.dtype == np.float64
+        assert np.array_equal(ps.data, np.asarray(data, dtype=np.float64))
 
     def test_data_is_read_only(self):
         ps = PointSet([[1.0, 2.0]])

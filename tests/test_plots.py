@@ -46,6 +46,23 @@ def test_feedback_svg_rejects_unequal_counts(tmp_path, n_targets, n_perm):
         write_feedback_svg(tmp_path / "f.svg", np.zeros((3, 2)), np.zeros((n_targets, 2)), np.arange(n_perm))
 
 
+@pytest.mark.parametrize(
+    "perm", [[0, 1, 7], [0, 1, -1], [0, 1, 1], np.array([0.0, 1.0, 2.0]), np.array([[0, 1, 2]])],
+    ids=["out-of-range", "negative", "repeated", "float", "2-d"],
+)
+def test_feedback_svg_rejects_a_perm_that_is_no_integer_permutation(tmp_path, perm):
+    with pytest.raises(SizeMismatch, match="permutation"):
+        write_feedback_svg(tmp_path / "f.svg", np.zeros((3, 2)), np.ones((3, 2)), perm)
+    assert not (tmp_path / "f.svg").exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pgm_rejects_non_finite_grays(tmp_path, bad):
+    with pytest.raises(SpecError, match="finite"):
+        write_pgm(tmp_path / "g.pgm", np.array([[0.0, bad]]))
+    assert not (tmp_path / "g.pgm").exists()
+
+
 def test_tile_images_on_a_2x3_grid():
     h, w = 2, 3
     pixels = np.arange(7 * h * w, dtype=np.float32).reshape(7, h * w) / (7 * h * w)
