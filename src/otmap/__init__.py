@@ -23,13 +23,9 @@ from .mappers import (
 )
 from .nn import (
     Activation,
-    AdamState,
     LayerSpec,
     Mlp,
-    adam_step,
-    backward,
     forward,
-    init_adam,
     init_mlp,
     load_checkpoint,
     save_checkpoint,
@@ -46,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Activation",
-    "AdamState",
     "Assignment",
     "ClusterModel",
     "ImageBatch",
@@ -60,12 +55,9 @@ __all__ = [
     "SyntheticSpec",
     "TrainConfig",
     "TrainResult",
-    "adam_step",
-    "backward",
     "diversity_penalty",
     "forward",
     "generate",
-    "init_adam",
     "init_mlp",
     "kmeans_fit",
     "load_checkpoint",

@@ -89,11 +89,13 @@ def kmeans_fit(points: PointSet, k: int, seed: int = 0) -> KmeansResult:
     Stops when no assignment changes or after ``MAX_ITERS``.  A cluster that
     empties is re-seeded at the point farthest from its current centroid.
     Covariances are full sample covariances with a small diagonal ridge.
+    ``k`` above the number of distinct points raises :class:`SpecError`.
     """
     k = _count(k, "number of clusters k")
-    if k > points.k:
-        raise SpecError(f"cannot fit {k} clusters to {points.k} points")
     x = points.data
+    distinct = len(np.unique(x, axis=0))
+    if k > distinct:
+        raise SpecError(f"cannot fit {k} clusters to {points.k} points, {distinct} of them distinct")
     rng = np.random.default_rng(_seed(seed))
     centers = _plusplus_seeds(x, k, rng)
     labels = np.full(points.k, -1, dtype=np.int64)

@@ -30,11 +30,11 @@ from scipy.spatial.distance import cdist
 from .errors import SizeMismatch, SpecError, TooFewPoints, _count, _rate, _seed
 from .nn import (
     Mlp,
+    _Adam,
     _backward_from_cache,
     _forward_cached,
     adam_step,
     forward,
-    init_adam,
 )
 from .ot import (
     PointSet,
@@ -200,9 +200,10 @@ def _fit(net: Mlp, cfg: TrainConfig, batches: Iterator[tuple[np.ndarray, Callabl
     (value, gradient wrt the output), already weighted; it is called once,
     before the next batch is drawn.  The squared cost is summed and divided
     by ``divisor``: the batch's row count for the mappers (mean over pairs),
-    its entry count for the autoencoder (mean over pixels).
+    its entry count for the autoencoder (mean over pixels).  Adam's state
+    starts fresh here and lives for this call.
     """
-    adam = init_adam(net)
+    adam = _Adam(net.params)
     # Reused every step: a fresh 4.3 MB autoencoder gradient came back from malloc as new pages.
     grads = Mlp(net.specs, np.empty_like(net.params))
     losses = np.empty(cfg.steps)

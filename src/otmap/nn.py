@@ -16,6 +16,11 @@ one Adam update is a fixed sequence of in-place operations over those
 vectors.  The arithmetic is that of the textbook per-array forms, operation
 for operation, so the flat layout changes no result bit.
 
+The public API is the network itself: build, forward, checkpoint.
+Training goes through the trainers in ``mappers`` and ``autoenc``, whose
+shared step, ``mappers._fit``, owns Adam's state (``_Adam``) for the
+run and is the one caller of :func:`adam_step`.
+
 Parameters are float32 or float64: networks start as float32, and
 gradient-check tests build float64 ones from a cast vector.  All operations
 are deterministic for a fixed seed and data order.
@@ -32,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteGradient, SizeMismatch, SpecError, _count, _rate
+from .errors import NonFiniteGradient, SizeMismatch, SpecError, _count
 from .ot import PointSet
 
 
@@ -256,7 +261,10 @@ def backward(net: Mlp, batch: PointSet, output_grad: np.ndarray) -> Mlp:
     """Gradients of L = sum(output_grad * forward(net, batch)) for all params.
 
     They come as an :class:`Mlp` of the net's specs: its ``layers`` hold dW
-    and db, and its :attr:`Mlp.params` the flat gradient vector.
+    and db, and its :attr:`Mlp.params` the flat gradient vector.  No trainer
+    calls this (``mappers._fit`` runs ``_backward_from_cache`` on its own
+    forward cache); the gradient-check tests do, and
+    ``benchmarks/tracing.py`` wraps this name in ``nn``.
     """
     if batch.d != net.in_dim:
         raise SizeMismatch(f"network expects input dim {net.in_dim}, got {batch.d}")
@@ -272,60 +280,33 @@ _ADAM_BLOCK = 65536
 _B1, _B2, _EPS = 0.9, 0.999, 1e-8
 
 
-@dataclass
-class AdamState:
-    """Adam's first and second moments plus the step counter.
+class _Adam:
+    """Adam's moments ``m`` and ``v``, laid out like ``params``, its step count
+    ``t`` and a two-row scratch.  ``mappers._fit`` builds one per run."""
 
-    ``m`` and ``v`` are flat vectors laid out like the net's
-    :attr:`Mlp.params`: 1-D float arrays of one size.  They and ``t``, an
-    integer >= 0, are checked on construction, else :class:`SpecError`.
+    def __init__(self, params: np.ndarray) -> None:
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self.t = 0
+        self.scratch = np.empty((2, min(params.size, _ADAM_BLOCK)), dtype=params.dtype)
+
+
+def adam_step(net: Mlp, grads: Mlp, state: _Adam, lr: float) -> None:
+    """One bias-corrected Adam update of ``net.params`` and ``state``, in place.
+
+    ``mappers._fit`` is the one caller: it builds ``grads``, an
+    :class:`Mlp` of the net's specs and dtype, and ``state`` for the net,
+    and ``TrainConfig`` checks ``lr``.  ``benchmarks/tracing.py`` wraps this
+    name in ``nn``, ``mappers`` and ``autoenc``.  Raises
+    :class:`NonFiniteGradient`, naming the first layer that holds a NaN or
+    infinite entry, before any parameter or moment moves.
     """
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-    scratch: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # bool is an int subclass, but no count.
-        if not (isinstance(self.t, int) and not isinstance(self.t, bool) and self.t >= 0):
-            raise SpecError(f"invalid Adam step count t={self.t!r}: needs an integer t >= 0")
-        for name, x in (("m", self.m), ("v", self.v)):
-            if not (isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind == "f"):
-                raise SpecError(f"Adam moment {name} must be a 1-D float array, got {type(x).__name__}")
-        if self.m.size != self.v.size:
-            raise SpecError(f"Adam moments differ in size: m has {self.m.size} entries, v {self.v.size}")
-        self.scratch = np.empty((2, min(self.m.size, _ADAM_BLOCK)), dtype=self.m.dtype)
-
-
-def init_adam(net: Mlp) -> AdamState:
-    return AdamState(m=np.zeros_like(net.params), v=np.zeros_like(net.params))
-
-
-def adam_step(net: Mlp, grads: Mlp, state: AdamState, lr: float) -> tuple[Mlp, AdamState]:
-    """One bias-corrected Adam update, in place; returns the updated pair.
-
-    ``grads`` is an :class:`Mlp` (else :class:`SpecError`) of the net's
-    specs (else :class:`SizeMismatch`), as :func:`backward` returns; one of
-    the other float dtype is cast to the net's.  ``state`` must hold moments
-    of the net's size, else :class:`SizeMismatch`.  ``lr`` must be finite
-    and positive, else :class:`SpecError`.  Raises
-    :class:`NonFiniteGradient` before touching any parameter if a gradient
-    entry is NaN or infinite in the net's dtype.
-    """
-    _rate(lr, "learning rate")
-    if not isinstance(grads, Mlp):
-        raise SpecError(f"gradients must be an Mlp, got {type(grads).__name__}")
-    if grads.specs != net.specs:
-        raise SizeMismatch(f"gradients have layers {grads.specs}, the net {net.specs}")
-    if state.m.shape != net.params.shape or state.v.shape != net.params.shape:
-        raise SizeMismatch(f"Adam moments hold {state.m.size} entries, the net {net.param_count}")
-    g = grads.params.astype(net.dtype, copy=False)
+    g = grads.params
     # min and max propagate NaN, so two reductions stand in for a mask.
     if not (np.isfinite(g.min()) and np.isfinite(g.max())):
-        # The cast can overflow, so the layers searched are views of g.
-        layers = Mlp(net.specs, g).layers
-        bad = next(i for i, l in enumerate(layers) if not (np.isfinite(l.weight).all() and np.isfinite(l.bias).all()))
+        bad = next(
+            i for i, l in enumerate(grads.layers) if not (np.isfinite(l.weight).all() and np.isfinite(l.bias).all())
+        )
         raise NonFiniteGradient(f"non-finite gradient in layer {bad} at Adam step {state.t + 1}")
     state.t += 1
     c1 = 1.0 - _B1 ** state.t
@@ -351,7 +332,6 @@ def adam_step(net: Mlp, grads: Mlp, state: AdamState, lr: float) -> tuple[Mlp, A
         den += _EPS
         num /= den
         pb -= num
-    return net, state
 
 
 # ---------------------------------------------------------------------------

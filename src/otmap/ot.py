@@ -6,8 +6,8 @@ problem: build a dense cost matrix, solve it exactly, and read distances
 off the matched pairs.
 
 There is one cost, squared Euclidean: every mapper, the OTTrans pairing and
-the divergence solve under it.  Reported distances (:func:`matched_distances`,
-:func:`ot_divergence`) are the Euclidean lengths of the matched pairs.
+the divergence solve under it.  The distance :func:`ot_divergence` reports
+is the mean Euclidean length of the matched pairs.
 
 The solver is :func:`scipy.optimize.linear_sum_assignment` (a shortest
 augmenting path method of the Jonker-Volgenant family).  The result is exact
@@ -277,14 +277,6 @@ def solve_assignment(costs: CostMatrix) -> Assignment:
     return Assignment(perm=perm, total_cost=total)
 
 
-def matched_distances(a: PointSet, b: PointSet, sigma: Assignment) -> np.ndarray:
-    """Euclidean per-pair distances |a_i - b_{sigma(i)}| as a length-k vector."""
-    _check_same_shape(a, b)
-    if sigma.k != a.k:
-        raise SizeMismatch(f"assignment covers {sigma.k} points but sets have {a.k}")
-    return np.linalg.norm(a.data - b.data[sigma.perm], axis=1)
-
-
 def ot_divergence(a: PointSet, b: PointSet) -> float:
     """Mean Euclidean matched-pair distance under the squared-Euclidean optimum.
 
@@ -292,4 +284,4 @@ def ot_divergence(a: PointSet, b: PointSet) -> float:
     cost); the reported average is of the plain Euclidean distances.
     """
     sigma = solve_assignment(pairwise_cost(a, b))
-    return float(matched_distances(a, b, sigma).mean())
+    return float(np.linalg.norm(a.data - b.data[sigma.perm], axis=1).mean())

@@ -18,10 +18,10 @@ from otmap.mappers import TrainConfig, _epoch_indices
 from otmap.nn import (
     Activation,
     Mlp,
+    _Adam,
     _activation_backward,
     _forward_cached,
     adam_step,
-    init_adam,
     init_mlp,
     load_checkpoint,
     save_checkpoint,
@@ -55,7 +55,7 @@ def two_net_reference(images, spec, cfg):
     encoder = init_mlp(enc_specs, seed=int(init_seq[0].generate_state(1)[0]))
     decoder = init_mlp(dec_specs, seed=int(init_seq[1].generate_state(1)[0]))
     batch_rng = np.random.Generator(np.random.PCG64(init_seq[2]))
-    adam_enc, adam_dec = init_adam(encoder), init_adam(decoder)
+    adam_enc, adam_dec = _Adam(encoder.params), _Adam(decoder.params)
     batches = _epoch_indices(images.n, min(cfg.batch_k, images.n), batch_rng)
     losses = np.empty(cfg.steps)
     for step, idx in zip(range(cfg.steps), batches):

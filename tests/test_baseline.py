@@ -48,6 +48,14 @@ class TestKmeansFit:
         with pytest.raises(SpecError):
             kmeans_fit(PointSet(np.zeros((3, 2))), k=4)
 
+    @pytest.mark.parametrize(
+        "rows", [[[0.0, 0.0]] * 6, [[0.0, 0.0]] * 5 + [[1.0, 1.0]]], ids=["one-distinct", "two-distinct"]
+    )
+    def test_more_clusters_than_distinct_points(self, rows):
+        # Repeated rows would leave clusters empty or identical.
+        with pytest.raises(SpecError, match=f"{len(np.unique(rows, axis=0))} of them distinct"):
+            kmeans_fit(PointSet(rows), k=3)
+
     def test_labels_cover_inputs(self):
         pts = make_moons(SyntheticSpec(SyntheticKind.MOONS, n=200, seed=6))
         result = kmeans_fit(pts, k=5, seed=7)

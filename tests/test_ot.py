@@ -22,7 +22,6 @@ from otmap.ot import (
     CostMatrix,
     PointSet,
     _warm_start,
-    matched_distances,
     ot_divergence,
     pairwise_cost,
     solve_assignment,
@@ -431,7 +430,7 @@ class TestOtDivergence:
         a, b = PointSet(rng.normal(size=(k, 2))), PointSet(rng.normal(size=(k, 2)))
         _, cols = linear_sum_assignment(cdist(a.data, b.data, "sqeuclidean"))
         cold = Assignment(perm=cols, total_cost=0.0)
-        assert ot_divergence(a, b) == float(matched_distances(a, b, cold).mean())
+        assert ot_divergence(a, b) == float(np.linalg.norm(a.data - b.data[cold.perm], axis=1).mean())
 
     def test_symmetry(self):
         rng = np.random.default_rng(13)

@@ -1,16 +1,21 @@
-"""The package's settable values, counted so that a new knob shows in review.
+"""The package's settable values and public names, counted so that a new
+knob or a new public name shows in review.
 
 A settable value is an init field of a public dataclass or a defaulted
-parameter of a public function, in the eight ``otmap`` modules.  Adding one
-means changing ``SETTABLE_VALUES`` below.
+parameter of a public function, in the eight ``otmap`` modules.  A public
+name is an entry of ``otmap.__all__``.  Adding either means changing
+``SETTABLE_VALUES`` or ``PUBLIC_NAMES`` below.
 """
 
 import dataclasses
 import importlib
 import inspect
 
+import otmap
+
 MODULES = ["autoenc", "baseline", "datasets", "errors", "mappers", "nn", "ot", "plots"]
-SETTABLE_VALUES = 49
+SETTABLE_VALUES = 46
+PUBLIC_NAMES = 33
 
 
 def settable_values() -> list[str]:
@@ -31,3 +36,13 @@ def settable_values() -> list[str]:
 def test_settable_value_count_is_pinned():
     found = settable_values()
     assert len(found) == SETTABLE_VALUES, "\n".join(found)
+
+
+def test_public_name_count_is_pinned():
+    assert len(otmap.__all__) == PUBLIC_NAMES, "\n".join(otmap.__all__)
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in otmap.__all__ if not hasattr(otmap, name)]
+    assert not missing
+    assert len(set(otmap.__all__)) == len(otmap.__all__)
