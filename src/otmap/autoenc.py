@@ -104,7 +104,7 @@ def encode(encoder: Mlp, images: ImageBatch) -> PointSet:
     outs = []
     for start in range(0, images.n, _ENCODE_CHUNK):
         block, _ = _forward_cached(encoder, images.pixels[start : start + _ENCODE_CHUNK])
-        outs.append(block.astype(np.float64))
+        outs.append(block)
     return PointSet(np.concatenate(outs))
 
 

@@ -146,10 +146,6 @@ class Assignment:
     def __post_init__(self) -> None:
         _permutation(self.perm)
 
-    @property
-    def k(self) -> int:
-        return self.perm.shape[0]
-
 
 def _check_same_shape(a: PointSet, b: PointSet) -> None:
     if a.k != b.k or a.d != b.d:

@@ -8,6 +8,7 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 from otmap.datasets import (
+    _GLYPH_CHUNK,
     _GLYPH_FONT,
     IDX_IMAGE_MAGIC,
     IDX_LABEL_MAGIC,
@@ -185,8 +186,9 @@ class TestGlyphs:
         batch = make_glyphs(10, seed=3)
         assert (batch.pixels.max(axis=1) > 0.3).all()  # every glyph visible
 
-    # n = 600 and 2000 put more than one batch of 256 in at least one blur
-    # radius; every n >= 600 here draws all three radii (2, 3 and 4).
+    # n = 600 and 2000 put more than one batch of _GLYPH_CHUNK images, the last
+    # one partial, in at least one blur radius; every n >= 600 here draws all
+    # three radii (2, 3 and 4).
     @pytest.mark.parametrize("n", [1, 7, 600, 2000])
     @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1])
     def test_bit_equal_to_per_image_construction(self, n, seed):
@@ -200,18 +202,23 @@ class TestGlyphs:
         # The folded reflection and the column map can only go wrong at some
         # (zoom, radius) pair or with a glyph at an edge: the grid above must
         # keep drawing all nine pairs and, per zoom, top and left at 1 and at
-        # their largest (27 - 5 * zoom and 27 - 3 * zoom).
+        # their largest (27 - 5 * zoom and 27 - 3 * zoom).  The batching can
+        # only go wrong at a batch boundary: some radius group must span more
+        # than one batch and end in a partial one.
         grid = {m.args[0]: m.args[1] for m in self.test_bit_equal_to_per_image_construction.pytestmark}
         seen = set()
+        group_sizes = set()
         for n in grid["n"]:
             for seed in grid["seed"]:
                 _, zooms, _, blurs, tops, lefts = glyph_draws(n, seed)
                 radii = (4.0 * blurs + 0.5).astype(int)
+                group_sizes |= set(np.bincount(radii).tolist())
                 for z, r, top, left in zip(zooms.tolist(), radii.tolist(), tops.tolist(), lefts.tolist()):
                     seen |= {("radius", z, r), ("top", z, top), ("left", z, left)}
         for z in (3, 4, 5):
             assert {("radius", z, r) for r in (2, 3, 4)} <= seen
             assert {("top", z, 1), ("top", z, 27 - 5 * z), ("left", z, 1), ("left", z, 27 - 3 * z)} <= seen
+        assert any(size > _GLYPH_CHUNK and size % _GLYPH_CHUNK for size in group_sizes)
 
     def test_peak_memory_within_twice_the_output(self):
         make_glyphs(8, seed=0)  # first call pays one-off imports
