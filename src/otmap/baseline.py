@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelError, SpecError, _count, _seed
+from .errors import ModelError, SpecError, _count, _real, _seed
 from .ot import PointSet
 
 COV_RIDGE = 1e-6
@@ -23,8 +23,10 @@ MAX_ITERS = 100
 class ClusterModel:
     """Mixture of k Gaussians fitted to k-means clusters.
 
-    The three fields are stored as float64 arrays; input that does not
-    convert to one (such as a ragged list) raises :class:`ModelError`.
+    The three fields are stored as private read-only float64 copies, so
+    writing to the caller's arrays afterwards changes nothing here.  Input
+    that is not an array of real numbers (ragged lists, complex or string
+    entries) raises :class:`ModelError`.
     """
 
     weights: np.ndarray  # (k,), >= 0, sums to 1
@@ -33,10 +35,9 @@ class ClusterModel:
 
     def __post_init__(self) -> None:
         for name in ("weights", "means", "covariances"):
-            try:
-                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-            except (TypeError, ValueError) as exc:
-                raise ModelError(f"cluster {name} do not form a float array: {exc}") from None
+            arr = _real(getattr(self, name), f"cluster {name}", ModelError).astype(np.float64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if self.means.ndim != 2 or self.covariances.ndim != 3:
             raise ModelError(
                 f"means must be (k, d) and covariances (k, d, d), got shapes "

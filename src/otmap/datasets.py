@@ -18,6 +18,7 @@ scales every divergence linearly, so it changes no ranking.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, CountMismatch, SpecError, TruncatedFile, _count, _seed
+from .errors import BadMagic, CountMismatch, SpecError, TruncatedFile, _count, _real, _seed
 from .ot import PointSet
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -90,10 +91,15 @@ def make_moons(spec: SyntheticSpec) -> PointSet:
 class ImageBatch:
     """n flattened single-channel images with pixel values in [0, 1].
 
-    ``pixels`` has shape (n, h*w), float32, with n >= 1.  ``h`` and ``w``
-    are integers >= 1 (NumPy integers too), stored as ``int``; anything else,
-    or no image, raises :class:`SpecError`.  Labels are optional, a 1-D
-    integer array, and only used for reporting.
+    ``pixels`` has shape (n, h*w) with n >= 1, and real entries (bool, int
+    or float); ragged rows, complex or string entries, a NaN, or a value
+    outside [0, 1] raise :class:`SpecError`.  They are stored as a read-only
+    float32 array: a float32 array is adopted without a copy and frozen, so
+    the caller can no longer write to it.  ``h`` and ``w`` are integers >= 1
+    (NumPy integers too), stored as ``int``; anything else raises
+    :class:`SpecError`.  Labels are optional, a 1-D integer array of one
+    label per image (else :class:`CountMismatch`), and only used for
+    reporting.
     """
 
     pixels: np.ndarray
@@ -104,7 +110,7 @@ class ImageBatch:
     def __post_init__(self) -> None:
         object.__setattr__(self, "h", _count(self.h, "image height h", SpecError))
         object.__setattr__(self, "w", _count(self.w, "image width w", SpecError))
-        px = np.asarray(self.pixels, dtype=np.float32)
+        px = _real(self.pixels, "pixel", SpecError).astype(np.float32, copy=False)
         if px.ndim != 2 or px.shape[1] != self.h * self.w:
             raise SpecError(f"pixel matrix shape {px.shape} inconsistent with h*w = {self.h}*{self.w}")
         _count(len(px), "image count n", SpecError)
@@ -129,49 +135,34 @@ class ImageBatch:
         return self.pixels.shape[0]
 
 
-def _read_be32(buf: bytes, offset: int, path: Path) -> int:
-    if offset + 4 > len(buf):
-        raise TruncatedFile(f"{path}: header ends after {len(buf)} bytes")
-    return struct.unpack_from(">I", buf, offset)[0]
-
-
-def _load_idx_labels(path: Path) -> np.ndarray:
+def _read_idx(path: Path, magic: int, ndim: int) -> np.ndarray:
+    """The uint8 payload of an IDX file whose header is ``magic`` and ``ndim`` big-endian dims,
+    shaped by those dims.  Raises :class:`BadMagic` or :class:`TruncatedFile` naming the file."""
     buf = path.read_bytes()
-    magic = _read_be32(buf, 0, path)
-    if magic != IDX_LABEL_MAGIC:
-        raise BadMagic(f"{path}: expected label magic {IDX_LABEL_MAGIC:#010x}, got {magic:#010x}")
-    n = _read_be32(buf, 4, path)
-    if len(buf) < 8 + n:
-        raise TruncatedFile(f"{path}: declares {n} labels but holds {len(buf) - 8} bytes")
-    return np.frombuffer(buf, dtype=np.uint8, count=n, offset=8).copy()
+    start = 4 * (1 + ndim)
+    if len(buf) < start:
+        raise TruncatedFile(f"{path}: header ends after {len(buf)} bytes")
+    found, *dims = struct.unpack_from(f">{1 + ndim}I", buf)
+    if found != magic:
+        raise BadMagic(f"{path}: expected magic {magic:#010x}, got {found:#010x}")
+    size = math.prod(dims)
+    if len(buf) < start + size:
+        raise TruncatedFile(f"{path}: declares {size} payload bytes but holds {len(buf) - start}")
+    return np.frombuffer(buf, dtype=np.uint8, count=size, offset=start).reshape(dims)
 
 
 def load_idx(path_images: str | Path, path_labels: str | Path | None = None) -> ImageBatch:
     """Load an IDX3 image file (and optionally its IDX1 label file).
 
     Pixel bytes are scaled to [0, 1] by dividing by 255.  Raises
-    :class:`BadMagic`, :class:`TruncatedFile`, or :class:`CountMismatch`
-    on malformed input.
+    :class:`BadMagic` or :class:`TruncatedFile` naming a malformed file, and
+    :class:`CountMismatch` (from :class:`ImageBatch`) when the two files
+    disagree on the number of images.
     """
-    path = Path(path_images)
-    buf = path.read_bytes()
-    magic = _read_be32(buf, 0, path)
-    if magic != IDX_IMAGE_MAGIC:
-        raise BadMagic(f"{path}: expected image magic {IDX_IMAGE_MAGIC:#010x}, got {magic:#010x}")
-    n = _read_be32(buf, 4, path)
-    h = _read_be32(buf, 8, path)
-    w = _read_be32(buf, 12, path)
-    expected = n * h * w
-    if len(buf) < 16 + expected:
-        raise TruncatedFile(f"{path}: declares {expected} pixel bytes but holds {len(buf) - 16}")
-    raw = np.frombuffer(buf, dtype=np.uint8, count=expected, offset=16)
-    pixels = (raw.astype(np.float32) / 255.0).reshape(n, h * w)
-    labels = None
-    if path_labels is not None:
-        labels = _load_idx_labels(Path(path_labels))
-        if len(labels) != n:
-            raise CountMismatch(f"{n} images but {len(labels)} labels")
-    return ImageBatch(pixels=pixels, h=h, w=w, labels=labels)
+    raw = _read_idx(Path(path_images), IDX_IMAGE_MAGIC, 3)
+    n, h, w = raw.shape
+    labels = None if path_labels is None else _read_idx(Path(path_labels), IDX_LABEL_MAGIC, 1)
+    return ImageBatch(pixels=(raw.astype(np.float32) / 255.0).reshape(n, h * w), h=h, w=w, labels=labels)
 
 
 # 3x5 digit bitmaps for the synthetic glyph corpus, row-major.

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its count, seed and rate checks.
+"""Exception types shared across the package, and its count, seed, rate and real-array checks.
 
 Every error raised on a contract violation derives from :class:`OtmapError`,
 so a caller can catch every package failure with one ``except`` clause
@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+
+import numpy as np
 
 
 class OtmapError(Exception):
@@ -82,3 +84,16 @@ def _rate(x: float, what: str, positive: bool = True) -> None:
     ``positive``; :class:`SpecError` naming ``what`` otherwise."""
     if not (isinstance(x, numbers.Real) and (0 < x if positive else 0 <= x) and x < math.inf):
         raise SpecError(f"{what} must be finite and {'positive' if positive else '>= 0'}, got {x}")
+
+
+def _real(x, what: str, error: type[OtmapError], ragged: type[OtmapError] | None = None) -> np.ndarray:
+    """``x`` as an array of real numbers (bool, integer or float dtype), without a copy
+    where it already is one; ``error`` naming ``what`` for other entries (complex,
+    strings, objects) and ``ragged`` (default ``error``) for ragged nested sequences."""
+    try:
+        arr = np.asarray(x)
+    except ValueError as exc:  # NumPy refuses ragged nested sequences
+        raise (ragged or error)(f"{what} rows must all have the same length: {exc}") from None
+    if arr.dtype.kind not in "biuf":
+        raise error(f"{what} entries must be real numbers, got dtype {arr.dtype}")
+    return arr

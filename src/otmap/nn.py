@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import zipfile
+import zlib
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteGradient, SizeMismatch, SpecError, _count
+from .errors import NonFiniteGradient, OtmapError, SizeMismatch, SpecError, _count
 from .ot import PointSet
 
 
@@ -127,9 +128,9 @@ class Mlp:
             isinstance(p, np.ndarray) and p.ndim == 1 and p.dtype in (np.float32, np.float64)
             and p.flags.c_contiguous and p.flags.writeable
         ):
-            raise SpecError("params must be a 1-D, C-contiguous, writable float32 or float64 vector")
+            raise SpecError("'params' must be a 1-D, C-contiguous, writable float32 or float64 vector")
         if p.size != (n := _param_count(self.specs)):
-            raise SizeMismatch(f"a {p.size}-entry vector does not hold the layers' {n} parameters")
+            raise SizeMismatch(f"'params' has {p.size} entries, the layers hold {n}")
         layers, pos = [], 0
         for s in self.specs:
             w = p[pos : pos + s.out_dim * s.in_dim].reshape(s.out_dim, s.in_dim)
@@ -343,10 +344,12 @@ CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(path: str | Path, net: Mlp) -> None:
-    """Write a versioned .npz checkpoint of ``net``; round-trips bit-exactly.
+    """Write a versioned npz checkpoint of ``net`` to exactly ``path``; round-trips bit-exactly.
 
     The archive holds ``meta``, a JSON header with the format, version,
-    dtype and layer specs, and ``params``, the net's flat vector.
+    dtype and layer specs, and ``params``, the net's flat vector.  No
+    ``.npz`` suffix is appended: ``save_checkpoint("ckpt", net)`` writes
+    ``ckpt``, which ``load_checkpoint("ckpt")`` reads.
     """
     meta = {
         "format": CHECKPOINT_FORMAT,
@@ -354,65 +357,39 @@ def save_checkpoint(path: str | Path, net: Mlp) -> None:
         "dtype": net.dtype.name,
         "layers": [{**asdict(spec), "activation": spec.activation.value} for spec in net.specs],
     }
-    np.savez(path, meta=np.array(json.dumps(meta)), params=net.params)
-
-
-def _checked_params(data, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-    if "params" not in data.files:
-        raise SpecError("checkpoint is missing array 'params'")
-    arr = data["params"]
-    if arr.shape != shape:
-        raise SpecError(f"checkpoint array 'params' has shape {arr.shape}, expected {shape}")
-    if arr.dtype != dtype:
-        raise SpecError(f"checkpoint array 'params' has dtype {arr.dtype}, expected {dtype}")
-    return arr
-
-
-def _read_meta(data) -> tuple[np.dtype, list[LayerSpec]]:
-    # The checkpoint's JSON header as (float dtype, layer specs); any missing
-    # or mistyped entry is a SpecError.
-    try:
-        meta = json.loads(str(data["meta"]))
-        if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
-            raise SpecError("not an otmap checkpoint")
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise SpecError(f"unsupported checkpoint version {meta.get('version')}")
-        dtype = np.dtype(meta["dtype"])
-        if dtype.kind != "f":
-            raise SpecError(f"checkpoint dtype {dtype} is not a float type")
-        specs = [LayerSpec(ls["in_dim"], ls["out_dim"], ls["activation"]) for ls in meta["layers"]]
-        if not specs:
-            raise SpecError("checkpoint has no layers")
-        return dtype, specs
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"malformed checkpoint metadata: {exc!r}") from exc
+    with open(path, "wb") as f:
+        np.savez(f, meta=np.array(json.dumps(meta)), params=net.params)
 
 
 def load_checkpoint(path: str | Path) -> Mlp:
     """Load the network a :func:`save_checkpoint` file holds.
 
-    Each of these faults raises :class:`SpecError` naming the file:
-
-    - the file is not an npz archive;
-    - its header is missing, malformed, of another format or version, or
-      names a dtype that is not a float type;
-    - a layer spec is invalid, or the layers do not chain;
-    - ``params`` is not a vector of the specs' parameter count in the
-      header's dtype (the error also names the array), or that dtype is
-      neither float32 nor float64.
+    Any fault in the file raises :class:`SpecError` naming it: the file is
+    not a zip archive, fails its checksum or does not inflate; an array is
+    missing, holds Python objects or does not decode; the header is
+    malformed, of another format or version; a layer spec is invalid, there
+    are none, or they do not chain; ``params`` is not a vector of the specs'
+    parameter count in the header's dtype (the error also names the array),
+    or that dtype is neither float32 nor float64.  A missing file raises
+    the ``OSError``.
 
     The net adopts the loaded vector.  Header keys beyond these are ignored.
     """
     with open(path, "rb") as f:
         try:
-            try:
-                data = np.load(f, allow_pickle=False)
-            except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-                raise SpecError(f"not an npz checkpoint: {exc}") from exc
-            if not isinstance(data, np.lib.npyio.NpzFile):
-                raise SpecError("not an npz checkpoint: holds a single array")
-            dtype, specs = _read_meta(data)
-            # Arrays read from an npz are fresh, writable and C-contiguous, so they can be adopted.
-            return Mlp(specs, _checked_params(data, (_param_count(specs),), dtype))
-        except SpecError as exc:
-            raise SpecError(f"{path}: {exc}") from exc
+            with np.lib.npyio.NpzFile(f, allow_pickle=False) as data:
+                meta = json.loads(str(data["meta"]))
+                if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
+                    raise SpecError("not an otmap checkpoint")
+                if meta.get("version") != CHECKPOINT_VERSION:
+                    raise SpecError(f"unsupported checkpoint version {meta.get('version')}")
+                specs = [LayerSpec(ls["in_dim"], ls["out_dim"], ls["activation"]) for ls in meta["layers"]]
+                params = data.get("params")
+                if params is None or params.dtype.name != meta["dtype"]:
+                    found = "missing" if params is None else f"of dtype {params.dtype}"
+                    raise SpecError(f"checkpoint array 'params' is {found}, the header says {meta['dtype']}")
+                # Arrays read from an npz are fresh, writable and C-contiguous, so the net adopts this one.
+                return Mlp(specs, params)
+        except (OtmapError, KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+            why = exc if isinstance(exc, OtmapError) else f"unreadable checkpoint: {exc!r}"
+            raise SpecError(f"{path}: {why}") from exc

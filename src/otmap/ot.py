@@ -36,7 +36,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .errors import InvalidCost, PoolTooLarge, SizeMismatch
+from .errors import InvalidCost, PoolTooLarge, SizeMismatch, _real
 
 # Dense k x k matrices only; above this the cost matrix alone is > 2 GiB.
 MAX_DENSE_K = 16384
@@ -65,13 +65,7 @@ class PointSet:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            raw = np.asarray(self.data)
-        except ValueError as exc:  # NumPy refuses ragged nested sequences
-            raise SizeMismatch(f"point set rows must all have the same length: {exc}") from None
-        if raw.dtype.kind not in "biuf":
-            raise InvalidCost(f"point set entries must be real numbers, got dtype {raw.dtype}")
-        arr = raw.astype(np.float64)
+        arr = _real(self.data, "point set", InvalidCost, ragged=SizeMismatch).astype(np.float64)
         if arr.ndim != 2:
             raise SizeMismatch(f"point set must be 2-D (k, d), got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -121,7 +115,7 @@ class CostMatrix:
 
 def _permutation(perm: np.ndarray) -> np.ndarray:
     """``perm`` as an array if it is a 1-D integer permutation of 0..k-1, k >= 1; else :class:`SizeMismatch`."""
-    perm = np.asarray(perm)
+    perm = _real(perm, "perm", SizeMismatch)
     k = len(perm) if perm.ndim == 1 else 0
     in_range = k > 0 and perm.dtype.kind in "iu" and perm.min() >= 0 and perm.max() < k
     if not (in_range and (np.bincount(perm.astype(np.intp), minlength=k) == 1).all()):
@@ -137,14 +131,18 @@ class Assignment:
 
     ``perm[i]`` is the target index matched to source point i;  ``perm``
     is always a permutation of 0..k-1 (checked on construction, else
-    :class:`SizeMismatch`).
+    :class:`SizeMismatch`).  It is stored as a private read-only integer
+    array, so a list comes back as an array and writing to the caller's
+    array afterwards changes nothing here.
     """
 
     perm: np.ndarray
     total_cost: float
 
     def __post_init__(self) -> None:
-        _permutation(self.perm)
+        perm = _permutation(self.perm).copy()
+        perm.setflags(write=False)
+        object.__setattr__(self, "perm", perm)
 
 
 def _check_same_shape(a: PointSet, b: PointSet) -> None:

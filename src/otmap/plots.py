@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import ImageBatch
-from .errors import SizeMismatch, SpecError, _count
+from .errors import SizeMismatch, SpecError, _count, _real
 from .ot import _permutation
 
 CANVAS = 640
@@ -38,16 +38,19 @@ def write_feedback_svg(
     the real targets, purple the predictions, blue the (optional) noise.
     ``perm`` must be an integer permutation of 0..k-1 for the k predictions
     and targets, as :class:`otmap.ot.Assignment` holds, else :class:`SizeMismatch`.
+    Points that are not real numbers raise :class:`SpecError`.
     """
-    predictions = np.asarray(predictions, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    arrays = [
+        _real(a, "SVG point", SpecError, ragged=SizeMismatch).astype(np.float64)
+        for a in [predictions, targets] + ([] if noise is None else [noise])
+    ]
+    predictions, targets = arrays[:2]
     perm = _permutation(perm)
     if len(perm) != len(predictions) or len(targets) != len(predictions):
         raise SizeMismatch(
             f"feedback plot needs equal counts, got {len(predictions)} predictions, "
             f"{len(targets)} targets, {len(perm)} matches"
         )
-    arrays = [predictions, targets] + ([np.asarray(noise, dtype=np.float64)] if noise is not None else [])
     for a in arrays:
         if a.ndim != 2 or a.shape[1] != 2:
             raise SizeMismatch(f"SVG plots take (k, 2) arrays, got shape {a.shape}")
@@ -84,9 +87,11 @@ def write_feedback_svg(
 def write_pgm(path: str | Path, gray: np.ndarray) -> None:
     """Write a (H, W) array of [0, 1] grays as binary PGM (P5, maxval 255).
 
-    Grays outside [0, 1] are clipped; a NaN or infinite gray raises :class:`SpecError`.
+    Grays outside [0, 1] are clipped; a gray that is not a finite real
+    number (NaN, infinite, complex, a string) raises :class:`SpecError`, and
+    ragged rows or another rank :class:`SizeMismatch`.
     """
-    gray = np.asarray(gray)
+    gray = _real(gray, "PGM gray", SpecError, ragged=SizeMismatch)
     if gray.ndim != 2:
         raise SizeMismatch(f"PGM needs a 2-D gray image, got shape {gray.shape}")
     if not np.isfinite(gray).all():

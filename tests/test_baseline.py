@@ -97,6 +97,14 @@ class TestSampleClusterModel:
             assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
         assert sample_cluster_model(model, 3, seed=0).k == 3
 
+    def test_keeps_private_read_only_copies(self):
+        w, mu, cov = np.array([1.0]), np.array([[0.0]]), np.array([[[1.0]]])
+        model = ClusterModel(weights=w, means=mu, covariances=cov)
+        w[0], mu[0, 0], cov[0, 0, 0] = 5.0, 5.0, 5.0
+        assert (model.weights[0], model.means[0, 0], model.covariances[0, 0, 0]) == (1.0, 0.0, 1.0)
+        for arr in (model.weights, model.means, model.covariances):
+            assert not arr.flags.writeable
+
     @pytest.mark.parametrize(
         "fields",
         [

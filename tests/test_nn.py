@@ -4,6 +4,8 @@ import copy
 import json
 import pickle
 import re
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -599,10 +601,21 @@ class TestCheckpoints:
         assert loaded.specs == net.specs == (LayerSpec(2, 3), LayerSpec(3, 1))
         assert_same_bits(loaded.params, net.params)
 
+    def test_writes_exactly_the_given_path(self, tmp_path):
+        # No ".npz" is appended, so a path without an extension round-trips.
+        net = init_mlp([LayerSpec(2, 3), LayerSpec(3, 1, Activation.IDENTITY)], seed=2)
+        path = tmp_path / "ckpt"
+        save_checkpoint(path, net)
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        loaded = load_checkpoint(str(path))
+        assert loaded.specs == net.specs
+        assert_same_bits(loaded.params, net.params)
+
     @pytest.mark.parametrize(
         "damage",
         ["no-meta", "layer-without-activation", "bad-dim", "bad-activation", "no-layers", "int-dtype",
-         "float16-dtype", "version-1", "version-2", "not-npz", "empty", "truncated", "single-array"],
+         "float16-dtype", "version-1", "version-2", "not-npz", "empty", "truncated", "single-array",
+         "object-params", "bad-crc", "bad-deflate"],
     )
     def test_rejects_malformed_file_naming_it(self, tmp_path, damage):
         net = init_mlp([LayerSpec(2, 4), LayerSpec(4, 2, Activation.IDENTITY)], seed=0)
@@ -641,6 +654,23 @@ class TestCheckpoints:
             path.write_bytes(b"")
         elif damage == "truncated":
             path.write_bytes(path.read_bytes()[:100])
+        elif damage == "object-params":
+            # np.savez pickles an object array; the loader refuses pickles.
+            self._rewrite(path, params=np.array([0.0] * (net.param_count - 1) + [None], dtype=object))
+        elif damage == "bad-crc":
+            raw = bytearray(path.read_bytes())
+            raw[raw.index(net.params.tobytes()) + 5] ^= 0x01
+            path.write_bytes(bytes(raw))
+        elif damage == "bad-deflate":
+            with np.load(path) as data:
+                arrays = {name: data[name] for name in data.files}
+            np.savez_compressed(path, **arrays)
+            with zipfile.ZipFile(path) as archive:
+                offset = archive.getinfo("params.npy").header_offset
+            raw = bytearray(path.read_bytes())
+            name_len, extra_len = struct.unpack_from("<HH", raw, offset + 26)
+            raw[offset + 30 + name_len + extra_len] = 0xFF  # deflate block type 3 is reserved
+            path.write_bytes(bytes(raw))
         else:
             with open(path, "wb") as f:
                 np.save(f, net.params)

@@ -462,6 +462,14 @@ class TestAssignment:
         with pytest.raises(SizeMismatch):
             Assignment(perm=np.asarray(perm), total_cost=0.0)
 
+    def test_keeps_a_private_read_only_copy(self):
+        p = np.array([1, 0])
+        sigma = Assignment(p, 0.0)
+        p[:] = 0
+        assert sigma.perm.tolist() == [1, 0] and not sigma.perm.flags.writeable
+        listed = Assignment([1, 0], 0.0).perm
+        assert isinstance(listed, np.ndarray) and listed.tolist() == [1, 0]
+
 
 class TestAssignmentCostGradient:
     def test_zero_at_minimum(self):

@@ -63,6 +63,12 @@ def test_pgm_rejects_non_finite_grays(tmp_path, bad):
     assert not (tmp_path / "g.pgm").exists()
 
 
+def test_pgm_rejects_grays_that_are_not_real_numbers(tmp_path):
+    with pytest.raises(SpecError, match="real numbers"):
+        write_pgm(tmp_path / "g.pgm", np.array([[0.0, None]], dtype=object))
+    assert not (tmp_path / "g.pgm").exists()
+
+
 def test_tile_images_on_a_2x3_grid():
     h, w = 2, 3
     pixels = np.arange(7 * h * w, dtype=np.float32).reshape(7, h * w) / (7 * h * w)
