@@ -1,6 +1,6 @@
 """otmap: noise-to-distribution mapping networks trained with exact optimal transport."""
 
-from .baseline import ClusterModel, KmeansResult, kmeans_fit, sample_cluster_model
+from .baseline import ClusterModel, kmeans_fit, sample_cluster_model
 from .datasets import (
     ImageBatch,
     SyntheticKind,
@@ -45,7 +45,6 @@ __all__ = [
     "Assignment",
     "ClusterModel",
     "ImageBatch",
-    "KmeansResult",
     "LayerSpec",
     "Mlp",
     "OtmapError",

@@ -20,7 +20,7 @@ import numpy as np
 from .datasets import ImageBatch
 from .errors import SizeMismatch, SpecError, _count
 from .mappers import TrainConfig, _fit, _frozen_pairs
-from .nn import Activation, LayerSpec, Mlp, _forward_cached, init_mlp
+from .nn import Activation, LayerSpec, Mlp, _forward_cached, _param_count, init_mlp
 
 # Not called here: benchmarks/tracing.py wraps both names in this module and fails without them.
 from .nn import _backward_from_cache, adam_step  # noqa: F401
@@ -83,13 +83,15 @@ def train_autoencoder(images: ImageBatch, spec: AutoencoderSpec, cfg: TrainConfi
     init_seq = np.random.SeedSequence(cfg.seed).spawn(3)
     enc_seed, dec_seed = (int(s.generate_state(1)[0]) for s in init_seq[:2])
     batch_rng = np.random.Generator(np.random.PCG64(init_seq[2]))
-    encoder = init_mlp(enc_specs, seed=enc_seed)
-    # Joining copies both halves into one parameter vector; the decoder's is freed here.
-    net = Mlp(enc_specs + dec_specs, np.concatenate([encoder.params, init_mlp(dec_specs, seed=dec_seed).params]))
+    split = _param_count(enc_specs)
+    # Joining copies both halves into one parameter vector; each half's own is freed here.
+    net = Mlp(
+        enc_specs + dec_specs,
+        np.concatenate([init_mlp(enc_specs, seed=enc_seed).params, init_mlp(dec_specs, seed=dec_seed).params]),
+    )
     batch_k = min(cfg.batch_k, images.n)
     batches = _frozen_pairs(images.pixels, images.pixels, batch_k, batch_rng)
     result = _fit(net, cfg, batches, batch_k * spec.input_dim)
-    split = encoder.param_count
     return AutoencoderResult(
         Mlp(enc_specs, net.params[:split].copy()), Mlp(dec_specs, net.params[split:].copy()), result.losses
     )

@@ -7,7 +7,7 @@ Sampling the mixture gives the comparison generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,13 +63,6 @@ class ClusterModel:
         return self.means.shape[1]
 
 
-@dataclass
-class KmeansResult:
-    model: ClusterModel
-    labels: np.ndarray  # (n,) cluster index per input point
-    sse_history: list[float] = field(default_factory=list)  # per Lloyd iteration
-
-
 def _plusplus_seeds(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.integers(len(x))]
@@ -84,7 +77,7 @@ def _plusplus_seeds(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def kmeans_fit(points: PointSet, k: int, seed: int = 0) -> KmeansResult:
+def kmeans_fit(points: PointSet, k: int, seed: int = 0) -> ClusterModel:
     """Lloyd's algorithm with k-means++ seeding, then per-cluster Gaussians.
 
     Stops when no assignment changes or after ``MAX_ITERS``.  A cluster that
@@ -100,7 +93,6 @@ def kmeans_fit(points: PointSet, k: int, seed: int = 0) -> KmeansResult:
     rng = np.random.default_rng(_seed(seed))
     centers = _plusplus_seeds(x, k, rng)
     labels = np.full(points.k, -1, dtype=np.int64)
-    sse_history: list[float] = []
     for _ in range(MAX_ITERS):
         d2 = np.square(x[:, None, :] - centers[None, :, :]).sum(axis=2)
         new_labels = d2.argmin(axis=1)
@@ -113,7 +105,6 @@ def kmeans_fit(points: PointSet, k: int, seed: int = 0) -> KmeansResult:
                 far = d2[np.arange(len(x)), new_labels].argmax()
                 centers[c] = x[far]
                 new_labels[far] = c
-        sse_history.append(float(np.square(x - centers[new_labels]).sum()))
         if (new_labels == labels).all():
             break
         labels = new_labels
@@ -128,8 +119,7 @@ def kmeans_fit(points: PointSet, k: int, seed: int = 0) -> KmeansResult:
         means[c] = members.mean(axis=0)
         centered = members - means[c]
         covs[c] = (centered.T @ centered) / len(members) + COV_RIDGE * np.eye(d)
-    model = ClusterModel(weights=weights, means=means, covariances=covs)
-    return KmeansResult(model=model, labels=labels, sse_history=sse_history)
+    return ClusterModel(weights=weights, means=means, covariances=covs)
 
 
 def _gaussian_factor(cov: np.ndarray) -> np.ndarray:

@@ -98,8 +98,8 @@ class ImageBatch:
     the caller can no longer write to it.  ``h`` and ``w`` are integers >= 1
     (NumPy integers too), stored as ``int``; anything else raises
     :class:`SpecError`.  Labels are optional, a 1-D integer array of one
-    label per image (else :class:`CountMismatch`), and only used for
-    reporting.
+    label per image (else :class:`CountMismatch`), stored as a private
+    read-only copy, and only used for reporting.
     """
 
     pixels: np.ndarray
@@ -120,7 +120,7 @@ class ImageBatch:
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
         if self.labels is not None:
-            labels = np.asarray(self.labels)
+            labels = np.array(self.labels)
             if labels.ndim != 1 or labels.dtype.kind not in "iu":
                 raise SpecError(
                     f"labels must be a 1-D integer array, got shape {labels.shape} "
@@ -128,6 +128,7 @@ class ImageBatch:
                 )
             if len(labels) != len(px):
                 raise CountMismatch(f"{len(px)} images but {len(labels)} labels")
+            labels.setflags(write=False)
             object.__setattr__(self, "labels", labels)
 
     @property

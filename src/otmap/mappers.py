@@ -52,8 +52,9 @@ _PENALTY_BLOCK = 256
 class PriorSpec:
     """Uniform noise prior on [-1, 1)^dim.
 
-    ``seed`` starts the draws of :func:`sample_prior` called without an
-    ``rng``; the trainers draw from their own streams.
+    ``seed`` is checked as a seed and read by nothing else: every draw
+    comes from the caller's ``rng``.  It stays only because
+    ``benchmarks/workloads.py`` constructs ``PriorSpec(dim=..., seed=...)``.
     """
 
     dim: int
@@ -64,15 +65,9 @@ class PriorSpec:
         _seed(self.seed)
 
 
-def sample_prior(spec: PriorSpec, k: int, rng: np.random.Generator | None = None) -> PointSet:
-    """k i.i.d. draws from the prior; deterministic per (seed, call order).
-
-    A fresh call without ``rng`` always starts from ``spec.seed``; trainers
-    pass their own stream so successive draws advance.
-    """
+def sample_prior(spec: PriorSpec, k: int, rng: np.random.Generator) -> PointSet:
+    """k i.i.d. draws from the prior, taken from ``rng`` so successive draws advance."""
     k = _count(k, "number of prior samples k")
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
     return PointSet(rng.uniform(-1.0, 1.0, size=(k, spec.dim)))
 
 
@@ -150,7 +145,7 @@ def diversity_penalty(p: PointSet, z: PointSet) -> tuple[float, np.ndarray]:
     return abs(gap), grad
 
 
-def generate(net: Mlp, prior: PriorSpec, n: int, rng: np.random.Generator | None = None) -> PointSet:
+def generate(net: Mlp, prior: PriorSpec, n: int, rng: np.random.Generator) -> PointSet:
     """Push n fresh prior samples through the network."""
     return forward(net, sample_prior(prior, n, rng))
 

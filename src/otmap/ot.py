@@ -265,10 +265,7 @@ def solve_assignment(costs: CostMatrix) -> Assignment:
             np.copyto(buf, values)
         rows, cols = linear_sum_assignment(buf)
     # linear_sum_assignment returns rows in sorted order, so cols is the permutation.
-    perm = cols.astype(np.int64)
-    perm.setflags(write=False)
-    total = float(values[rows, cols].sum())
-    return Assignment(perm=perm, total_cost=total)
+    return Assignment(perm=cols, total_cost=float(values[rows, cols].sum()))
 
 
 def ot_divergence(a: PointSet, b: PointSet) -> float:

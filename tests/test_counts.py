@@ -21,8 +21,8 @@ CASES = {
     "config-steps": (SpecError, lambda: TrainConfig(steps=2.5)),
     "config-batch_k": (SpecError, lambda: TrainConfig(batch_k=2.5)),
     "config-seed": (SpecError, lambda: TrainConfig(seed=-1)),
-    "sample_prior": (InvalidCount, lambda: sample_prior(PriorSpec(dim=2), 2.5)),
-    "generate": (InvalidCount, lambda: generate(NET, PriorSpec(dim=2), 2.5)),
+    "sample_prior": (InvalidCount, lambda: sample_prior(PriorSpec(dim=2), 2.5, np.random.default_rng(0))),
+    "generate": (InvalidCount, lambda: generate(NET, PriorSpec(dim=2), 2.5, np.random.default_rng(0))),
     "kmeans-k": (InvalidCount, lambda: kmeans_fit(POINTS, 2.5)),
     "kmeans-seed": (SpecError, lambda: kmeans_fit(POINTS, 2, seed=-1)),
     "pool_sampler-batch_k": (SpecError, lambda: pool_sampler(POINTS, 2.5, 0)),
@@ -45,6 +45,6 @@ def test_rejects_a_count_or_seed_that_is_not_an_integer_in_range(error, call):
 
 def test_accepts_numpy_integers():
     prior = PriorSpec(dim=np.int64(2), seed=np.uint32(3))
-    assert sample_prior(prior, np.int64(4)).data.shape == (4, 2)
-    assert kmeans_fit(POINTS, np.int32(2), seed=np.int64(1)).model.k == 2
+    assert sample_prior(prior, np.int64(4), np.random.default_rng(0)).data.shape == (4, 2)
+    assert kmeans_fit(POINTS, np.int32(2), seed=np.int64(1)).k == 2
     assert pool_sampler(POINTS, np.int16(3), np.uint8(0))().k == 3

@@ -288,3 +288,10 @@ class TestImageBatch:
     def test_label_list_becomes_array(self):
         batch = ImageBatch(pixels=np.zeros((2, 4)), h=2, w=2, labels=[3, 4])
         assert isinstance(batch.labels, np.ndarray) and batch.labels.tolist() == [3, 4]
+
+    def test_keeps_a_private_read_only_copy_of_its_labels(self):
+        lab = np.array([1, 2])
+        batch = ImageBatch(np.zeros((2, 4), np.float32), 2, 2, labels=lab)
+        lab[0] = 9
+        assert batch.labels.tolist() == [1, 2] and batch.labels is not lab
+        assert not batch.labels.flags.writeable

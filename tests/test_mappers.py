@@ -58,30 +58,35 @@ def all_pairs_penalty_reference(p: np.ndarray, z: np.ndarray) -> tuple[float, np
 
 class TestSamplePrior:
     def test_large_sample_statistics(self):
-        pts = sample_prior(PriorSpec(dim=2, seed=5), k=10_000)
+        pts = sample_prior(PriorSpec(dim=2), k=10_000, rng=np.random.default_rng(5))
         assert pts.k == 10_000 and pts.d == 2
         assert np.all(pts.data >= -1.0) and np.all(pts.data < 1.0)
         assert np.abs(pts.data.mean(axis=0)).max() < 0.02
 
-    def test_deterministic_from_fresh_state(self):
-        spec = PriorSpec(dim=3, seed=9)
-        assert np.array_equal(sample_prior(spec, 17).data, sample_prior(spec, 17).data)
+    def test_two_generators_from_one_seed_give_the_same_draws(self):
+        spec = PriorSpec(dim=3)
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        first = sample_prior(spec, 17, a).data
+        assert np.array_equal(first, sample_prior(spec, 17, b).data)
+        second = sample_prior(spec, 17, a).data
+        assert np.array_equal(second, sample_prior(spec, 17, b).data)
+        assert not np.array_equal(first, second)
 
     def test_single_point_in_range(self):
-        pts = sample_prior(PriorSpec(dim=2, seed=0), k=1)
+        pts = sample_prior(PriorSpec(dim=2), k=1, rng=np.random.default_rng(0))
         assert pts.data.shape == (1, 2)
         assert np.all(pts.data >= -1.0) and np.all(pts.data < 1.0)
 
     def test_rejects_zero_count(self):
         with pytest.raises(InvalidCount):
-            sample_prior(PriorSpec(dim=2), k=0)
+            sample_prior(PriorSpec(dim=2), k=0, rng=np.random.default_rng(0))
 
     def test_invalid_spec(self):
         with pytest.raises(SpecError):
             PriorSpec(dim=0)
 
     def test_draws_uniform_on_minus_one_to_one_from_the_seed(self):
-        got = sample_prior(PriorSpec(dim=3, seed=11), 20).data
+        got = sample_prior(PriorSpec(dim=3), 20, np.random.default_rng(11)).data
         want = np.random.default_rng(11).uniform(-1, 1, (20, 3))
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -226,21 +231,21 @@ class TestGenerate:
     def test_identity_network_reproduces_prior(self):
         net = Mlp([LayerSpec(2, 2, Activation.IDENTITY)], np.zeros(6))
         net.layers[0].weight[:] = np.eye(2)
-        prior = PriorSpec(dim=2, seed=123)
-        out = generate(net, prior, 50)
-        np.testing.assert_allclose(out.data, sample_prior(prior, 50).data, atol=1e-12)
+        prior = PriorSpec(dim=2)
+        out = generate(net, prior, 50, np.random.default_rng(123))
+        np.testing.assert_allclose(out.data, sample_prior(prior, 50, np.random.default_rng(123)).data, atol=1e-12)
 
     def test_zero_count_rejected(self):
         net = small_mapper()
         with pytest.raises(InvalidCount):
-            generate(net, PriorSpec(dim=2), 0)
+            generate(net, PriorSpec(dim=2), 0, np.random.default_rng(0))
 
     def test_dim_mismatch(self):
         net = small_mapper(in_dim=3)
         from otmap.errors import SizeMismatch
 
         with pytest.raises(SizeMismatch):
-            generate(net, PriorSpec(dim=2), 4)
+            generate(net, PriorSpec(dim=2), 4, np.random.default_rng(0))
 
 
 class TestTrainOttrans:
