@@ -77,7 +77,7 @@ def _plusplus_seeds(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def kmeans_fit(points: PointSet, k: int, seed: int = 0) -> ClusterModel:
+def kmeans_fit(points: PointSet, k: int, seed: int) -> ClusterModel:
     """Lloyd's algorithm with k-means++ seeding, then per-cluster Gaussians.
 
     Stops when no assignment changes or after ``MAX_ITERS``.  A cluster that
@@ -139,7 +139,7 @@ def _gaussian_factor(cov: np.ndarray) -> np.ndarray:
     return evecs * np.sqrt(np.clip(evals, 0.0, None))
 
 
-def sample_cluster_model(model: ClusterModel, n: int, seed: int = 0) -> PointSet:
+def sample_cluster_model(model: ClusterModel, n: int, seed: int) -> PointSet:
     """Draw n points: cluster by weight, then its Gaussian."""
     n = _count(n, "number of samples n")
     rng = np.random.default_rng(_seed(seed))

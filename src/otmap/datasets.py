@@ -236,7 +236,7 @@ def _blur_pass(padded: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray
     return acc.astype(np.float32)
 
 
-def make_glyphs(n: int, seed: int = 0) -> ImageBatch:
+def make_glyphs(n: int, seed: int) -> ImageBatch:
     """Synthetic 28x28 digit-glyph corpus, a stand-in when no IDX data exists.
 
     Each image is a 3x5 digit bitmap blown up by an integer factor, placed

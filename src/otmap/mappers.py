@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import SizeMismatch, SpecError, TooFewPoints, _count, _rate, _seed
+from .errors import SpecError, TooFewPoints, _count, _rate, _seed
 from .nn import (
     Mlp,
     _Adam,
@@ -38,6 +38,7 @@ from .nn import (
 )
 from .ot import (
     PointSet,
+    _check_same_shape,
     pairwise_cost,
     solve_assignment,
 )
@@ -121,8 +122,7 @@ def diversity_penalty(p: PointSet, z: PointSet) -> tuple[float, np.ndarray]:
     adds exactly zero (a ``W.sum(1) * x - W @ x`` form would cancel
     catastrophically against the 1e12 weights the floor gives such pairs).
     """
-    if p.k != z.k or p.d != z.d:
-        raise SizeMismatch(f"sets must match in shape: ({p.k}, {p.d}) vs ({z.k}, {z.d})")
+    _check_same_shape(p, z)
     if p.k < 2:
         raise TooFewPoints(f"diversity penalty needs k >= 2, got k={p.k}")
     x = p.data

@@ -9,7 +9,7 @@ from otmap.datasets import ImageBatch
 from otmap.errors import InvalidCost, ModelError, OtmapError, SizeMismatch, SpecError
 from otmap.nn import LayerSpec, Mlp
 from otmap.ot import Assignment, PointSet
-from otmap.plots import write_feedback_svg, write_pgm
+from otmap.plots import write_pgm
 
 PAIRS = np.zeros((2, 2))
 
@@ -30,15 +30,6 @@ ENTRIES = {
     "Assignment": (lambda x, tmp: Assignment(x, 0.0), np.array([1, 0]), SizeMismatch, SizeMismatch),
     "Mlp": (lambda x, tmp: Mlp([LayerSpec(1, 1)], x), np.zeros(2, np.float32), SpecError, SpecError),
     "write_pgm": (lambda x, tmp: write_pgm(tmp / "g.pgm", x), PAIRS, SpecError, SizeMismatch),
-    "write_feedback_svg-predictions": (
-        lambda x, tmp: write_feedback_svg(tmp / "f.svg", x, PAIRS, [0, 1]), PAIRS, SpecError, SizeMismatch
-    ),
-    "write_feedback_svg-noise": (
-        lambda x, tmp: write_feedback_svg(tmp / "f.svg", PAIRS, PAIRS, [0, 1], noise=x),
-        PAIRS,
-        SpecError,
-        SizeMismatch,
-    ),
 }
 
 # Each bad input is built from the entry's valid array, so only its entries are wrong.

@@ -51,7 +51,7 @@ class TestKmeansFit:
 
     def test_more_clusters_than_points(self):
         with pytest.raises(SpecError):
-            kmeans_fit(PointSet(np.zeros((3, 2))), k=4)
+            kmeans_fit(PointSet(np.zeros((3, 2))), k=4, seed=0)
 
     @pytest.mark.parametrize(
         "rows", [[[0.0, 0.0]] * 6, [[0.0, 0.0]] * 5 + [[1.0, 1.0]]], ids=["one-distinct", "two-distinct"]
@@ -59,7 +59,7 @@ class TestKmeansFit:
     def test_more_clusters_than_distinct_points(self, rows):
         # Repeated rows would leave clusters empty or identical.
         with pytest.raises(SpecError, match=f"{len(np.unique(rows, axis=0))} of them distinct"):
-            kmeans_fit(PointSet(rows), k=3)
+            kmeans_fit(PointSet(rows), k=3, seed=0)
 
 
 class TestSampleClusterModel:
@@ -123,7 +123,7 @@ class TestSampleClusterModel:
             weights=np.array([1.0]), means=np.array([[0.0]]), covariances=np.array([[[1.0]]])
         )
         with pytest.raises(InvalidCount):
-            sample_cluster_model(model, 0)
+            sample_cluster_model(model, 0, seed=0)
 
     def test_deterministic(self):
         pts = make_moons(SyntheticSpec(SyntheticKind.MOONS, n=500, seed=8))

@@ -23,11 +23,11 @@ CASES = {
     "config-seed": (SpecError, lambda: TrainConfig(seed=-1)),
     "sample_prior": (InvalidCount, lambda: sample_prior(PriorSpec(dim=2), 2.5, np.random.default_rng(0))),
     "generate": (InvalidCount, lambda: generate(NET, PriorSpec(dim=2), 2.5, np.random.default_rng(0))),
-    "kmeans-k": (InvalidCount, lambda: kmeans_fit(POINTS, 2.5)),
+    "kmeans-k": (InvalidCount, lambda: kmeans_fit(POINTS, 2.5, seed=0)),
     "kmeans-seed": (SpecError, lambda: kmeans_fit(POINTS, 2, seed=-1)),
     "pool_sampler-batch_k": (SpecError, lambda: pool_sampler(POINTS, 2.5, 0)),
     "pool_sampler-seed": (SpecError, lambda: pool_sampler(POINTS, 2, -1)),
-    "sample_cluster_model-n": (InvalidCount, lambda: sample_cluster_model(MODEL, 2.5)),
+    "sample_cluster_model-n": (InvalidCount, lambda: sample_cluster_model(MODEL, 2.5, seed=0)),
     "sample_cluster_model-seed": (SpecError, lambda: sample_cluster_model(MODEL, 2, seed=-1)),
     "layer-in_dim": (SpecError, lambda: LayerSpec(2.5, 3)),
     "layer-out_dim": (SpecError, lambda: LayerSpec(2, "3")),

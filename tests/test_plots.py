@@ -1,13 +1,11 @@
-"""Structure of the SVG and PGM artefacts."""
-
-import re
+"""Structure of the PGM artefacts."""
 
 import numpy as np
 import pytest
 
 from otmap.datasets import ImageBatch
 from otmap.errors import SizeMismatch, SpecError
-from otmap.plots import tile_images, write_feedback_svg, write_pgm
+from otmap.plots import tile_images, write_pgm
 
 
 def test_pgm_header_and_pixel_bytes(tmp_path):
@@ -18,42 +16,6 @@ def test_pgm_header_and_pixel_bytes(tmp_path):
     header = b"P5\n3 2\n255\n"  # width before height
     assert raw[: len(header)] == header
     assert raw[len(header) :] == bytes([0, 128, 255, 64, 1, 254])  # rint(gray * 255)
-
-
-@pytest.mark.parametrize("with_noise", [False, True])
-def test_feedback_svg_joins_each_prediction_to_its_match(tmp_path, with_noise):
-    rng = np.random.default_rng(0)
-    k = 5
-    preds, targets = rng.normal(size=(k, 2)), rng.normal(size=(k, 2))
-    perm = np.array([3, 0, 4, 1, 2])
-    path = tmp_path / "feedback.svg"
-    write_feedback_svg(path, preds, targets, perm, rng.uniform(-1, 1, size=(k, 2)) if with_noise else None)
-    text = path.read_text()
-    assert text.startswith("<svg") and text.endswith("</svg>")
-    lines = re.findall(r'<line x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" y2="([^"]+)"', text)
-    circles = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)"', text)
-    assert len(lines) == k
-    assert len(circles) == (3 if with_noise else 2) * k
-    target_px, pred_px = circles[:k], circles[k : 2 * k]  # targets are drawn first
-    for i, (x1, y1, x2, y2) in enumerate(lines):
-        assert (x1, y1) == pred_px[i]
-        assert (x2, y2) == target_px[perm[i]]
-
-
-@pytest.mark.parametrize("n_targets, n_perm", [(4, 3), (3, 2)])
-def test_feedback_svg_rejects_unequal_counts(tmp_path, n_targets, n_perm):
-    with pytest.raises(SizeMismatch):
-        write_feedback_svg(tmp_path / "f.svg", np.zeros((3, 2)), np.zeros((n_targets, 2)), np.arange(n_perm))
-
-
-@pytest.mark.parametrize(
-    "perm", [[0, 1, 7], [0, 1, -1], [0, 1, 1], np.array([0.0, 1.0, 2.0]), np.array([[0, 1, 2]])],
-    ids=["out-of-range", "negative", "repeated", "float", "2-d"],
-)
-def test_feedback_svg_rejects_a_perm_that_is_no_integer_permutation(tmp_path, perm):
-    with pytest.raises(SizeMismatch, match="permutation"):
-        write_feedback_svg(tmp_path / "f.svg", np.zeros((3, 2)), np.ones((3, 2)), perm)
-    assert not (tmp_path / "f.svg").exists()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

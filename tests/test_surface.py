@@ -5,7 +5,8 @@ A settable value is an init field of a public dataclass or a defaulted
 parameter of a public function, in the eight ``otmap`` modules.  A public
 name is an entry of ``otmap.__all__``.  Adding either means changing
 ``SETTABLE_VALUES`` or ``PUBLIC_NAMES`` below.  No public function may
-default a parameter named ``rng``: random draws come from the caller's stream.
+default a parameter named ``rng`` or ``seed``: random draws come from the
+caller's stream.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ import inspect
 import otmap
 
 MODULES = ["autoenc", "baseline", "datasets", "errors", "mappers", "nn", "ot", "plots"]
-SETTABLE_VALUES = 41
+SETTABLE_VALUES = 37
 PUBLIC_NAMES = 32
 
 
@@ -50,11 +51,11 @@ def test_settable_value_count_is_pinned():
 
 
 def test_no_public_function_defaults_its_random_stream():
-    # A defaulted rng would draw from a hidden stream, the same one on every call.
+    # A defaulted rng or seed would draw from a hidden stream, the same one on every call.
     hidden = [
         qualname
         for qualname, obj in public_objects()
-        if inspect.isfunction(obj) and any(p.name == "rng" for p in defaulted_parameters(obj))
+        if inspect.isfunction(obj) and any(p.name in ("rng", "seed") for p in defaulted_parameters(obj))
     ]
     assert hidden == []
 
