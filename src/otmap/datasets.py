@@ -97,8 +97,9 @@ class ImageBatch:
     float32 array: a float32 array is adopted without a copy and frozen, so
     the caller can no longer write to it.  ``h`` and ``w`` are integers >= 1
     (NumPy integers too), stored as ``int``; anything else raises
-    :class:`SpecError`.  Labels are optional, a 1-D integer array of one
-    label per image (else :class:`CountMismatch`), stored as a private
+    :class:`SpecError`.  Labels are optional, a 1-D integer array (ragged,
+    complex or string labels raise :class:`SpecError` too) of one label per
+    image (else :class:`CountMismatch`), stored as a private
     read-only copy, and only used for reporting.
     """
 
@@ -120,7 +121,7 @@ class ImageBatch:
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
         if self.labels is not None:
-            labels = np.array(self.labels)
+            labels = _real(self.labels, "label", SpecError).copy()
             if labels.ndim != 1 or labels.dtype.kind not in "iu":
                 raise SpecError(
                     f"labels must be a 1-D integer array, got shape {labels.shape} "

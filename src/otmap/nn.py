@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteGradient, OtmapError, SizeMismatch, SpecError, _count
+from .errors import NonFiniteGradient, OtmapError, SizeMismatch, SpecError, _count, _seed
 from .ot import PointSet
 
 
@@ -164,9 +164,9 @@ def init_mlp(specs: list[LayerSpec], seed: int) -> Mlp:
 
     Weights are drawn uniformly from +-sqrt(6 / fan_in) (He-style scaling
     for the LeakyReLU stacks used here), layer by layer.  Deterministic per
-    seed.
+    seed; raises :class:`SpecError` unless ``seed`` is a non-negative integer.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     net = Mlp(specs, np.zeros(_param_count(specs), dtype=np.float32))
     for layer in net.layers:
         bound = np.sqrt(6.0 / layer.spec.in_dim)

@@ -18,6 +18,9 @@ PAIRS = np.zeros((2, 2))
 ENTRIES = {
     "PointSet": (lambda x, tmp: PointSet(x), PAIRS, InvalidCost, SizeMismatch),
     "ImageBatch": (lambda x, tmp: ImageBatch(x, h=2, w=2), np.full((1, 4), 0.5), SpecError, SpecError),
+    "ImageBatch-labels": (
+        lambda x, tmp: ImageBatch(np.full((1, 4), 0.5), h=2, w=2, labels=x), np.array([3]), SpecError, SpecError
+    ),
     "ClusterModel-weights": (
         lambda x, tmp: ClusterModel(x, [[0.0]], [[[1.0]]]), np.ones(1), ModelError, ModelError
     ),

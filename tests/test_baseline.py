@@ -49,6 +49,12 @@ class TestKmeansFit:
         seeds = _plusplus_seeds(pts.data, 8, np.random.default_rng(5))
         assert sse(pts.data, model.means) <= sse(pts.data, seeds)
 
+    def test_deterministic_per_seed(self):
+        pts = make_moons(SyntheticSpec(SyntheticKind.MOONS, n=500, seed=6))
+        a, b = kmeans_fit(pts, k=5, seed=7), kmeans_fit(pts, k=5, seed=7)
+        for x, y in zip((a.weights, a.means, a.covariances), (b.weights, b.means, b.covariances)):
+            assert np.array_equal(x, y)
+
     def test_more_clusters_than_points(self):
         with pytest.raises(SpecError):
             kmeans_fit(PointSet(np.zeros((3, 2))), k=4, seed=0)
@@ -131,6 +137,12 @@ class TestSampleClusterModel:
         a = sample_cluster_model(model, 100, seed=10)
         b = sample_cluster_model(model, 100, seed=10)
         assert np.array_equal(a.data, b.data)
+
+    def test_different_seeds_give_different_points(self):
+        model = ClusterModel(weights=[1.0], means=[[0.0, 0.0]], covariances=[np.eye(2)])
+        a = sample_cluster_model(model, 100, seed=10)
+        b = sample_cluster_model(model, 100, seed=11)
+        assert not np.array_equal(a.data, b.data)
 
 
 class TestClusterModelJson:

@@ -29,6 +29,9 @@ CASES = {
     "pool_sampler-seed": (SpecError, lambda: pool_sampler(POINTS, 2, -1)),
     "sample_cluster_model-n": (InvalidCount, lambda: sample_cluster_model(MODEL, 2.5, seed=0)),
     "sample_cluster_model-seed": (SpecError, lambda: sample_cluster_model(MODEL, 2, seed=-1)),
+    "init_mlp-negative-seed": (SpecError, lambda: init_mlp([LayerSpec(2, 2)], seed=-1)),
+    "init_mlp-fractional-seed": (SpecError, lambda: init_mlp([LayerSpec(2, 2)], seed=1.5)),
+    "init_mlp-missing-seed": (SpecError, lambda: init_mlp([LayerSpec(2, 2)], seed=None)),
     "layer-in_dim": (SpecError, lambda: LayerSpec(2.5, 3)),
     "layer-out_dim": (SpecError, lambda: LayerSpec(2, "3")),
     "autoencoder-input_dim": (SpecError, lambda: AutoencoderSpec(input_dim=2.5)),

@@ -182,6 +182,10 @@ class TestGlyphs:
         a, b = make_glyphs(10, seed=2), make_glyphs(10, seed=2)
         assert np.array_equal(a.pixels, b.pixels)
 
+    def test_different_seeds_give_different_images(self):
+        a, b = make_glyphs(10, seed=2), make_glyphs(10, seed=3)
+        assert not np.array_equal(a.pixels, b.pixels)
+
     def test_images_are_nontrivial(self):
         batch = make_glyphs(10, seed=3)
         assert (batch.pixels.max(axis=1) > 0.3).all()  # every glyph visible
@@ -284,6 +288,11 @@ class TestImageBatch:
     def test_rejects_labels_not_1d_integer(self, labels):
         with pytest.raises(SpecError):
             ImageBatch(pixels=np.zeros((2, 4)), h=2, w=2, labels=labels)
+
+    def test_rejects_one_label_too_few_or_many(self):
+        for labels in ([0], [0, 1, 2]):
+            with pytest.raises(CountMismatch, match=f"2 images but {len(labels)} labels"):
+                ImageBatch(pixels=np.zeros((2, 4)), h=2, w=2, labels=labels)
 
     def test_label_list_becomes_array(self):
         batch = ImageBatch(pixels=np.zeros((2, 4)), h=2, w=2, labels=[3, 4])

@@ -25,6 +25,25 @@ def test_pgm_rejects_non_finite_grays(tmp_path, bad):
     assert not (tmp_path / "g.pgm").exists()
 
 
+def test_pgm_clips_grays_outside_the_unit_range(tmp_path):
+    path = tmp_path / "grid.pgm"
+    write_pgm(path, np.array([[-0.5, 1.5, -1e9, 1e9]]))
+    assert path.read_bytes().endswith(bytes([0, 255, 0, 255]))
+
+
+@pytest.mark.parametrize("gray", [np.array([[True, False]]), np.array([[1, 0]])], ids=["bool", "int"])
+def test_pgm_writes_bool_and_integer_grays_as_their_values(tmp_path, gray):
+    write_pgm(tmp_path / "g.pgm", gray)
+    assert (tmp_path / "g.pgm").read_bytes() == b"P5\n2 1\n255\n" + bytes([255, 0])
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 1)], ids=["1-d", "3-d"])
+def test_pgm_rejects_an_image_that_is_not_2d(tmp_path, shape):
+    with pytest.raises(SizeMismatch, match="2-D"):
+        write_pgm(tmp_path / "g.pgm", np.zeros(shape))
+    assert not (tmp_path / "g.pgm").exists()
+
+
 def test_pgm_rejects_grays_that_are_not_real_numbers(tmp_path):
     with pytest.raises(SpecError, match="real numbers"):
         write_pgm(tmp_path / "g.pgm", np.array([[0.0, None]], dtype=object))
@@ -48,3 +67,9 @@ def test_tile_images_rejects_a_grid_side_that_is_not_a_count(rows, cols):
     images = ImageBatch(pixels=np.zeros((4, 6), dtype=np.float32), h=2, w=3)
     with pytest.raises(SpecError, match="need an integer"):
         tile_images(images, rows=rows, cols=cols)
+
+
+def test_tile_images_rejects_a_grid_larger_than_the_batch():
+    images = ImageBatch(pixels=np.zeros((5, 6), dtype=np.float32), h=2, w=3)
+    with pytest.raises(SizeMismatch, match="grid needs 6 images, batch has 5"):
+        tile_images(images, rows=2, cols=3)
