@@ -43,10 +43,10 @@ class AutoencoderSpec:
     latent_dim: int = 8
 
     def __post_init__(self) -> None:
-        _count(self.input_dim, "input_dim", SpecError)
-        _count(self.latent_dim, "latent_dim", SpecError)
+        _count(self.input_dim, "input_dim")
+        _count(self.latent_dim, "latent_dim")
         for width in self.hidden:
-            _count(width, "hidden width", SpecError)
+            _count(width, "hidden width")
 
 
 def autoencoder_layer_specs(spec: AutoencoderSpec) -> tuple[list[LayerSpec], list[LayerSpec]]:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, CountMismatch, SpecError, TruncatedFile, _count, _real, _seed
+from .errors import SizeMismatch, SpecError, _count, _real, _seed
 from .ot import PointSet
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -99,7 +99,7 @@ class ImageBatch:
     (NumPy integers too), stored as ``int``; anything else raises
     :class:`SpecError`.  Labels are optional, a 1-D integer array (ragged,
     complex or string labels raise :class:`SpecError` too) of one label per
-    image (else :class:`CountMismatch`), stored as a private
+    image (else :class:`SizeMismatch`), stored as a private
     read-only copy, and only used for reporting.
     """
 
@@ -109,12 +109,12 @@ class ImageBatch:
     labels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "h", _count(self.h, "image height h", SpecError))
-        object.__setattr__(self, "w", _count(self.w, "image width w", SpecError))
+        object.__setattr__(self, "h", _count(self.h, "image height h"))
+        object.__setattr__(self, "w", _count(self.w, "image width w"))
         px = _real(self.pixels, "pixel", SpecError).astype(np.float32, copy=False)
         if px.ndim != 2 or px.shape[1] != self.h * self.w:
             raise SpecError(f"pixel matrix shape {px.shape} inconsistent with h*w = {self.h}*{self.w}")
-        _count(len(px), "image count n", SpecError)
+        _count(len(px), "image count n")
         # Written so that a NaN pixel, for which every comparison is False, fails.
         if not (px.min() >= 0.0 and px.max() <= 1.0):
             raise SpecError("pixel values must lie in [0, 1]")
@@ -128,7 +128,7 @@ class ImageBatch:
                     f"and dtype {labels.dtype}"
                 )
             if len(labels) != len(px):
-                raise CountMismatch(f"{len(px)} images but {len(labels)} labels")
+                raise SizeMismatch(f"{len(px)} images but {len(labels)} labels")
             labels.setflags(write=False)
             object.__setattr__(self, "labels", labels)
 
@@ -139,17 +139,17 @@ class ImageBatch:
 
 def _read_idx(path: Path, magic: int, ndim: int) -> np.ndarray:
     """The uint8 payload of an IDX file whose header is ``magic`` and ``ndim`` big-endian dims,
-    shaped by those dims.  Raises :class:`BadMagic` or :class:`TruncatedFile` naming the file."""
+    shaped by those dims.  Raises :class:`SpecError` naming the file when it is malformed."""
     buf = path.read_bytes()
     start = 4 * (1 + ndim)
     if len(buf) < start:
-        raise TruncatedFile(f"{path}: header ends after {len(buf)} bytes")
+        raise SpecError(f"{path}: header ends after {len(buf)} bytes")
     found, *dims = struct.unpack_from(f">{1 + ndim}I", buf)
     if found != magic:
-        raise BadMagic(f"{path}: expected magic {magic:#010x}, got {found:#010x}")
+        raise SpecError(f"{path}: expected magic {magic:#010x}, got {found:#010x}")
     size = math.prod(dims)
     if len(buf) < start + size:
-        raise TruncatedFile(f"{path}: declares {size} payload bytes but holds {len(buf) - start}")
+        raise SpecError(f"{path}: declares {size} payload bytes but holds {len(buf) - start}")
     return np.frombuffer(buf, dtype=np.uint8, count=size, offset=start).reshape(dims)
 
 
@@ -157,9 +157,9 @@ def load_idx(path_images: str | Path, path_labels: str | Path | None = None) -> 
     """Load an IDX3 image file (and optionally its IDX1 label file).
 
     Pixel bytes are scaled to [0, 1] by dividing by 255.  Raises
-    :class:`BadMagic` or :class:`TruncatedFile` naming a malformed file, and
-    :class:`CountMismatch` (from :class:`ImageBatch`) when the two files
-    disagree on the number of images.
+    :class:`SpecError` naming a malformed file, and :class:`SizeMismatch`
+    (from :class:`ImageBatch`) when the two files disagree on the number of
+    images.
     """
     raw = _read_idx(Path(path_images), IDX_IMAGE_MAGIC, 3)
     n, h, w = raw.shape
@@ -257,8 +257,8 @@ def make_glyphs(n: int, seed: int) -> ImageBatch:
     glyph column is a copy of one of three, and that pass keeps columns apart.
     One flat gather then maps those columns, and the reflected border, onto
     the padded canvas columns of every row in the batch.
-    Raises :class:`otmap.errors.InvalidCount` unless ``n`` is an integer >= 1 and
-    :class:`SpecError` unless ``seed`` is a non-negative integer.
+    Raises :class:`SpecError` unless ``n`` is an integer >= 1 and ``seed`` a
+    non-negative integer.
     """
     n = _count(n, "number of glyphs")
     rng = np.random.default_rng(_seed(seed))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 
 import numpy as np
 
@@ -19,7 +18,7 @@ class OtmapError(Exception):
 
 
 class SizeMismatch(OtmapError):
-    """Two operands have incompatible point counts or dimensions."""
+    """Two operands have incompatible counts or dimensions."""
 
 
 class InvalidCost(OtmapError):
@@ -31,58 +30,35 @@ class PoolTooLarge(OtmapError):
 
 
 class SpecError(OtmapError):
-    """A layer or training specification is internally inconsistent."""
+    """A count, seed, rate, specification or input file is malformed or out of range."""
 
 
 class NonFiniteGradient(OtmapError):
     """A parameter gradient contains NaN or infinite entries; the run aborts."""
 
 
-class TooFewPoints(OtmapError):
-    """An operation needs more points than the input provides."""
-
-
-class InvalidCount(OtmapError):
-    """A requested number of samples, points, clusters or iterations is out of range."""
-
-
 class ModelError(OtmapError):
     """A fitted model is numerically unusable (e.g. non-PSD covariance)."""
 
 
-class BadMagic(OtmapError):
-    """An IDX file starts with an unexpected magic number."""
-
-
-class TruncatedFile(OtmapError):
-    """An IDX file ends before its header-declared payload."""
-
-
-class CountMismatch(OtmapError):
-    """Image and label files disagree on the number of items."""
-
-
-def _count(n: int, what: str, error: type[OtmapError] = InvalidCount, least: int = 1) -> int:
-    """``n`` as an int >= ``least`` (NumPy integers too); ``error`` naming ``what`` otherwise."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        pass
-    else:
-        if n >= least:
-            return n
-    raise error(f"need an integer {what} >= {least}, got {n!r}")
+def _count(n: int, what: str, least: int = 1) -> int:
+    """``n`` as an int >= ``least``, from an ``int`` (not a ``bool``) or a NumPy
+    integer; :class:`SpecError` naming ``what`` otherwise."""
+    if (type(n) is int or isinstance(n, np.integer)) and n >= least:
+        return int(n)
+    raise SpecError(f"need an integer {what} >= {least}, got {n!r}")
 
 
 def _seed(seed: int) -> int:
     """``seed`` as an int >= 0 (NumPy integers too); :class:`SpecError` otherwise."""
-    return _count(seed, "seed", SpecError, least=0)
+    return _count(seed, "seed", least=0)
 
 
 def _rate(x: float, what: str, positive: bool = True) -> None:
-    """Check ``x`` is a finite real (NumPy floats too), > 0, or >= 0 unless
+    """Check ``x`` is a finite real (NumPy floats too, ``bool`` not), > 0, or >= 0 unless
     ``positive``; :class:`SpecError` naming ``what`` otherwise."""
-    if not (isinstance(x, numbers.Real) and (0 < x if positive else 0 <= x) and x < math.inf):
+    real = isinstance(x, numbers.Real) and not isinstance(x, bool)
+    if not (real and (0 < x if positive else 0 <= x) and x < math.inf):
         raise SpecError(f"{what} must be finite and {'positive' if positive else '>= 0'}, got {x}")
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import SpecError, TooFewPoints, _count, _rate, _seed
+from .errors import SpecError, _count, _rate, _seed
 from .nn import (
     Mlp,
     _Adam,
@@ -62,7 +62,7 @@ class PriorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _count(self.dim, "prior dim", SpecError)
+        _count(self.dim, "prior dim")
         _seed(self.seed)
 
 
@@ -89,8 +89,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _count(self.steps, "steps", SpecError)
-        _count(self.batch_k, "batch_k", SpecError)
+        _count(self.steps, "steps")
+        _count(self.batch_k, "batch_k")
         _seed(self.seed)
         _rate(self.lr, "lr")
         _rate(self.lambda_div, "lambda_div", positive=False)
@@ -123,8 +123,7 @@ def diversity_penalty(p: PointSet, z: PointSet) -> tuple[float, np.ndarray]:
     catastrophically against the 1e12 weights the floor gives such pairs).
     """
     _check_same_shape(p, z)
-    if p.k < 2:
-        raise TooFewPoints(f"diversity penalty needs k >= 2, got k={p.k}")
+    _count(p.k, "diversity penalty k", least=2)
     x = p.data
     total_p = total_z = 0.0
     grad = np.empty_like(x)
@@ -172,7 +171,7 @@ def pool_sampler(
     pool: PointSet, batch_k: int, seed: int
 ) -> Callable[[], PointSet]:
     """Epoch-style batch source: without replacement, reshuffled when spent."""
-    batch_k = _count(batch_k, "batch_k", SpecError)
+    batch_k = _count(batch_k, "batch_k")
     if batch_k > pool.k:
         raise SpecError(f"batch_k ({batch_k}) exceeds pool size ({pool.k})")
     batches = _epoch_indices(pool.k, batch_k, np.random.default_rng(_seed(seed)))

@@ -68,8 +68,8 @@ class LayerSpec:
     activation: Activation = Activation.LEAKY_RELU
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "in_dim", _count(self.in_dim, "layer in_dim", SpecError))
-        object.__setattr__(self, "out_dim", _count(self.out_dim, "layer out_dim", SpecError))
+        object.__setattr__(self, "in_dim", _count(self.in_dim, "layer in_dim"))
+        object.__setattr__(self, "out_dim", _count(self.out_dim, "layer out_dim"))
         try:
             object.__setattr__(self, "activation", Activation(self.activation))
         except ValueError:
@@ -90,6 +90,17 @@ def _param_count(specs) -> int:
     return sum(s.out_dim * s.in_dim + s.out_dim for s in specs)
 
 
+def _layer_specs(specs) -> tuple[LayerSpec, ...]:
+    # ``specs`` as a tuple; SpecError unless it is an iterable of LayerSpecs.
+    try:
+        found = tuple(specs)
+    except TypeError:
+        found = None
+    if found is None or not all(isinstance(s, LayerSpec) for s in found):
+        raise SpecError(f"layer specs must be an iterable of LayerSpec, got {specs!r}")
+    return found
+
+
 @dataclass(eq=False)
 class Mlp:
     """A network: its layer specs plus one flat parameter vector.
@@ -98,11 +109,11 @@ class Mlp:
     vector holding exactly the specs' weights and biases; the net adopts it
     without a copy.  ``layers`` holds one :class:`Layer` per spec whose
     ``weight`` and ``bias`` are views into ``params``, so writing either (in
-    place) or ``params`` changes the same numbers.  No specs, or specs whose
-    input dimension is not the previous output dimension, raise
-    :class:`SpecError`, as does a vector of another kind or dtype (Adam's
-    1e-8 offset rounds to zero in float16); a vector of another length
-    raises :class:`SizeMismatch`.
+    place) or ``params`` changes the same numbers.  Specs that are not an
+    iterable of :class:`LayerSpec`, no specs, or specs whose input dimension
+    is not the previous output dimension raise :class:`SpecError`, as does
+    a vector of another kind or dtype (Adam's 1e-8 offset rounds to zero in
+    float16); a vector of another length raises :class:`SizeMismatch`.
 
     Mutable training state: a single trainer owns an Mlp at a time.
     Forward passes on an Mlp nobody is mutating are safe from any thread.
@@ -113,7 +124,7 @@ class Mlp:
     layers: tuple[Layer, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.specs = tuple(self.specs)
+        self.specs = _layer_specs(self.specs)
         if not self.specs:
             raise SpecError("a network needs at least one layer")
         for prev, cur in zip(self.specs, self.specs[1:]):
@@ -164,9 +175,11 @@ def init_mlp(specs: list[LayerSpec], seed: int) -> Mlp:
 
     Weights are drawn uniformly from +-sqrt(6 / fan_in) (He-style scaling
     for the LeakyReLU stacks used here), layer by layer.  Deterministic per
-    seed; raises :class:`SpecError` unless ``seed`` is a non-negative integer.
+    seed; raises :class:`SpecError` unless ``seed`` is a non-negative integer
+    and, as :class:`Mlp` does, for specs it cannot build.
     """
     rng = np.random.default_rng(_seed(seed))
+    specs = _layer_specs(specs)
     net = Mlp(specs, np.zeros(_param_count(specs), dtype=np.float32))
     for layer in net.layers:
         bound = np.sqrt(6.0 / layer.spec.in_dim)

@@ -36,8 +36,8 @@ def tile_images(images: ImageBatch, rows: int, cols: int) -> np.ndarray:
 
     ``rows`` and ``cols`` must be integers >= 1, else :class:`SpecError`.
     """
-    rows = _count(rows, "grid rows", SpecError)
-    cols = _count(cols, "grid cols", SpecError)
+    rows = _count(rows, "grid rows")
+    cols = _count(cols, "grid cols")
     if images.n < rows * cols:
         raise SizeMismatch(f"grid needs {rows * cols} images, batch has {images.n}")
     tiles = images.pixels[: rows * cols].reshape(rows, cols, images.h, images.w)

@@ -5,7 +5,7 @@ import pytest
 
 from otmap.baseline import ClusterModel, _plusplus_seeds, kmeans_fit, sample_cluster_model
 from otmap.datasets import SyntheticKind, SyntheticSpec, make_moons
-from otmap.errors import InvalidCount, ModelError, SpecError
+from otmap.errors import ModelError, SpecError
 from otmap.ot import PointSet
 
 
@@ -128,7 +128,7 @@ class TestSampleClusterModel:
         model = ClusterModel(
             weights=np.array([1.0]), means=np.array([[0.0]]), covariances=np.array([[[1.0]]])
         )
-        with pytest.raises(InvalidCount):
+        with pytest.raises(SpecError, match="need an integer"):
             sample_cluster_model(model, 0, seed=0)
 
     def test_deterministic(self):

@@ -8,7 +8,7 @@ from scipy.optimize import linear_sum_assignment
 
 from otmap import mappers
 from otmap.datasets import SyntheticKind, SyntheticSpec, make_moons
-from otmap.errors import InvalidCount, SizeMismatch, SpecError, TooFewPoints
+from otmap.errors import SizeMismatch, SpecError
 from otmap.mappers import (
     PriorSpec,
     TrainConfig,
@@ -78,7 +78,7 @@ class TestSamplePrior:
         assert np.all(pts.data >= -1.0) and np.all(pts.data < 1.0)
 
     def test_rejects_zero_count(self):
-        with pytest.raises(InvalidCount):
+        with pytest.raises(SpecError, match="need an integer"):
             sample_prior(PriorSpec(dim=2), k=0, rng=np.random.default_rng(0))
 
     def test_invalid_spec(self):
@@ -94,7 +94,7 @@ class TestSamplePrior:
 class TestTrainConfig:
     @pytest.mark.parametrize(
         "field, value",
-        [("lr", v) for v in (np.nan, np.inf, 0.0, -1e-3, "1e-3", None)]
+        [("lr", v) for v in (np.nan, np.inf, 0.0, -1e-3, "1e-3", None, True)]
         + [("lambda_div", v) for v in (np.nan, np.inf, -0.5, "0.5", None)],
     )
     def test_rejects_rates_that_are_not_finite_and_in_range(self, field, value):
@@ -149,7 +149,7 @@ class TestDiversityPenalty:
             assert abs(fd - grad.ravel()[idx]) / max(abs(fd), 1e-10) < 1e-4
 
     def test_too_few_points(self):
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(SpecError, match="need an integer diversity penalty k >= 2, got 1"):
             diversity_penalty(PointSet([[0.0, 0.0]]), PointSet([[1.0, 1.0]]))
 
     @pytest.mark.parametrize("z_shape", [(5, 2), (4, 3)])
@@ -237,7 +237,7 @@ class TestGenerate:
 
     def test_zero_count_rejected(self):
         net = small_mapper()
-        with pytest.raises(InvalidCount):
+        with pytest.raises(SpecError, match="need an integer"):
             generate(net, PriorSpec(dim=2), 0, np.random.default_rng(0))
 
     def test_dim_mismatch(self):

@@ -210,6 +210,19 @@ class TestFlatStorage:
             Mlp((LayerSpec(2, 3), LayerSpec(9, 2)), np.zeros(9 + 20))
 
     @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: init_mlp([(2, 3)], seed=0),
+            lambda: Mlp([LayerSpec(2, 2), "x"], np.zeros(6)),
+            lambda: init_mlp(LayerSpec(2, 2), seed=0),
+        ],
+        ids=["init_mlp-tuple", "Mlp-string", "init_mlp-one-spec"],
+    )
+    def test_rejects_specs_that_are_not_layer_specs(self, build):
+        with pytest.raises(SpecError, match="iterable of LayerSpec"):
+            build()
+
+    @pytest.mark.parametrize(
         "vector",
         [
             np.zeros((1, 9)),

@@ -1,12 +1,13 @@
-"""The package's settable values and public names, counted so that a new
-knob or a new public name shows in review.
+"""The package's settable values, public names and error types, counted so
+that a new knob, public name or error type shows in review.
 
 A settable value is an init field of a public dataclass or a defaulted
 parameter of a public function, in the eight ``otmap`` modules.  A public
-name is an entry of ``otmap.__all__``.  Adding either means changing
-``SETTABLE_VALUES`` or ``PUBLIC_NAMES`` below.  No public function may
-default a parameter named ``rng`` or ``seed``: random draws come from the
-caller's stream.
+name is an entry of ``otmap.__all__``.  An error type is a subclass of
+``OtmapError`` defined in ``otmap.errors``.  Adding any of them means
+changing ``SETTABLE_VALUES``, ``PUBLIC_NAMES`` or ``ERROR_TYPES`` below.
+No public function may default a parameter named ``rng`` or ``seed``:
+random draws come from the caller's stream.
 """
 
 import dataclasses
@@ -14,10 +15,12 @@ import importlib
 import inspect
 
 import otmap
+from otmap import errors
 
 MODULES = ["autoenc", "baseline", "datasets", "errors", "mappers", "nn", "ot", "plots"]
 SETTABLE_VALUES = 37
 PUBLIC_NAMES = 32
+ERROR_TYPES = 6
 
 
 def public_objects() -> list[tuple[str, object]]:
@@ -48,6 +51,17 @@ def settable_values() -> list[str]:
 def test_settable_value_count_is_pinned():
     found = settable_values()
     assert len(found) == SETTABLE_VALUES, "\n".join(found)
+
+
+def test_error_type_count_is_pinned():
+    # One type per fault: a count out of range is always SpecError, two counts
+    # that disagree are always SizeMismatch.
+    found = [
+        name
+        for name, obj in vars(errors).items()
+        if inspect.isclass(obj) and issubclass(obj, errors.OtmapError) and obj is not errors.OtmapError
+    ]
+    assert len(found) == ERROR_TYPES, "\n".join(found)
 
 
 def test_no_public_function_defaults_its_random_stream():
