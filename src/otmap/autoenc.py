@@ -35,7 +35,8 @@ class AutoencoderSpec:
     """Widths of the encoder stack; the decoder mirrors it.
 
     Hidden layers are LeakyReLU, the latent layer is linear, and the sigmoid
-    output keeps decoded pixels in [0, 1].
+    output keeps decoded pixels in [0, 1].  ``hidden`` is stored as a tuple
+    of ints; anything but an iterable of integers >= 1 raises :class:`SpecError`.
     """
 
     input_dim: int
@@ -45,8 +46,11 @@ class AutoencoderSpec:
     def __post_init__(self) -> None:
         _count(self.input_dim, "input_dim")
         _count(self.latent_dim, "latent_dim")
-        for width in self.hidden:
-            _count(width, "hidden width")
+        try:
+            widths = iter(self.hidden)
+        except TypeError:
+            raise SpecError(f"hidden must be an iterable of widths, got {self.hidden!r}") from None
+        object.__setattr__(self, "hidden", tuple(_count(width, "hidden width") for width in widths))
 
 
 def autoencoder_layer_specs(spec: AutoencoderSpec) -> tuple[list[LayerSpec], list[LayerSpec]]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError, SpecError, _count, _real, _seed
+from .errors import SpecError, _count, _real, _seed
 from .ot import PointSet
 
 COV_RIDGE = 1e-6
@@ -24,9 +24,9 @@ class ClusterModel:
     """Mixture of k Gaussians fitted to k-means clusters.
 
     The three fields are stored as private read-only float64 copies, so
-    writing to the caller's arrays afterwards changes nothing here.  Input
-    that is not an array of real numbers (ragged lists, complex or string
-    entries) raises :class:`ModelError`.
+    writing to the caller's arrays afterwards changes nothing here; the
+    weights are divided by their sum, so :func:`sample_cluster_model` can
+    always draw from them.  Any malformed field raises :class:`SpecError`.
     """
 
     weights: np.ndarray  # (k,), >= 0, sums to 1
@@ -35,24 +35,25 @@ class ClusterModel:
 
     def __post_init__(self) -> None:
         for name in ("weights", "means", "covariances"):
-            arr = _real(getattr(self, name), f"cluster {name}", ModelError).astype(np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _real(getattr(self, name), f"cluster {name}").astype(np.float64))
         if self.means.ndim != 2 or self.covariances.ndim != 3:
-            raise ModelError(
+            raise SpecError(
                 f"means must be (k, d) and covariances (k, d, d), got shapes "
                 f"{self.means.shape} and {self.covariances.shape}"
             )
         w = self.weights
         if w.ndim != 1 or not np.isfinite(w).all() or (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
-            raise ModelError("cluster weights must be finite, non-negative and sum to 1")
+            raise SpecError("cluster weights must be finite, non-negative and sum to 1")
         if self.means.shape[0] != len(w) or self.covariances.shape[:2] != (len(w), self.means.shape[1]):
-            raise ModelError("weights, means, and covariances disagree on k or d")
+            raise SpecError("weights, means, and covariances disagree on k or d")
         if not (np.isfinite(self.means).all() and np.isfinite(self.covariances).all()):
-            raise ModelError("cluster means and covariances must be finite")
+            raise SpecError("cluster means and covariances must be finite")
         for cov in self.covariances:
             if not np.allclose(cov, cov.T, atol=1e-12):
-                raise ModelError("covariance matrices must be symmetric")
+                raise SpecError("covariance matrices must be symmetric")
+        w /= w.sum()
+        for arr in (w, self.means, self.covariances):
+            arr.setflags(write=False)
 
     @property
     def k(self) -> int:
@@ -135,12 +136,13 @@ def _gaussian_factor(cov: np.ndarray) -> np.ndarray:
         pass
     evals, evecs = np.linalg.eigh(cov)
     if evals.min() < -1e-9:
-        raise ModelError(f"covariance is not PSD (min eigenvalue {evals.min():.3e})")
+        raise SpecError(f"covariance is not PSD (min eigenvalue {evals.min():.3e})")
     return evecs * np.sqrt(np.clip(evals, 0.0, None))
 
 
 def sample_cluster_model(model: ClusterModel, n: int, seed: int) -> PointSet:
-    """Draw n points: cluster by weight, then its Gaussian."""
+    """Draw n points: cluster by weight, then its Gaussian.  A covariance
+    that is not PSD raises :class:`SpecError`."""
     n = _count(n, "number of samples n")
     rng = np.random.default_rng(_seed(seed))
     counts = rng.multinomial(n, model.weights)

@@ -92,15 +92,13 @@ class ImageBatch:
     """n flattened single-channel images with pixel values in [0, 1].
 
     ``pixels`` has shape (n, h*w) with n >= 1, and real entries (bool, int
-    or float); ragged rows, complex or string entries, a NaN, or a value
-    outside [0, 1] raise :class:`SpecError`.  They are stored as a read-only
-    float32 array: a float32 array is adopted without a copy and frozen, so
-    the caller can no longer write to it.  ``h`` and ``w`` are integers >= 1
-    (NumPy integers too), stored as ``int``; anything else raises
-    :class:`SpecError`.  Labels are optional, a 1-D integer array (ragged,
-    complex or string labels raise :class:`SpecError` too) of one label per
-    image (else :class:`SizeMismatch`), stored as a private
-    read-only copy, and only used for reporting.
+    or float) in [0, 1].  They are stored as a read-only float32 array: a
+    float32 array is adopted without a copy and frozen, so the caller can no
+    longer write to it.  ``h`` and ``w`` are integers >= 1 (NumPy integers
+    too), stored as ``int``.  Labels are optional, a 1-D integer array of one
+    label per image (else :class:`SizeMismatch`), stored as a private
+    read-only copy, and only used for reporting.  Any other malformed input
+    (ragged rows, complex or string entries, a NaN) raises :class:`SpecError`.
     """
 
     pixels: np.ndarray
@@ -111,7 +109,7 @@ class ImageBatch:
     def __post_init__(self) -> None:
         object.__setattr__(self, "h", _count(self.h, "image height h"))
         object.__setattr__(self, "w", _count(self.w, "image width w"))
-        px = _real(self.pixels, "pixel", SpecError).astype(np.float32, copy=False)
+        px = _real(self.pixels, "pixel").astype(np.float32, copy=False)
         if px.ndim != 2 or px.shape[1] != self.h * self.w:
             raise SpecError(f"pixel matrix shape {px.shape} inconsistent with h*w = {self.h}*{self.w}")
         _count(len(px), "image count n")
@@ -121,7 +119,7 @@ class ImageBatch:
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
         if self.labels is not None:
-            labels = _real(self.labels, "label", SpecError).copy()
+            labels = _real(self.labels, "label").copy()
             if labels.ndim != 1 or labels.dtype.kind not in "iu":
                 raise SpecError(
                     f"labels must be a 1-D integer array, got shape {labels.shape} "

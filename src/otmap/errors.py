@@ -21,24 +21,16 @@ class SizeMismatch(OtmapError):
     """Two operands have incompatible counts or dimensions."""
 
 
-class InvalidCost(OtmapError):
-    """A cost matrix contains NaN or infinite entries."""
-
-
 class PoolTooLarge(OtmapError):
     """A point set exceeds the dense-solve size limit."""
 
 
 class SpecError(OtmapError):
-    """A count, seed, rate, specification or input file is malformed or out of range."""
+    """A count, seed, rate, specification, input array or input file is malformed or out of range."""
 
 
 class NonFiniteGradient(OtmapError):
     """A parameter gradient contains NaN or infinite entries; the run aborts."""
-
-
-class ModelError(OtmapError):
-    """A fitted model is numerically unusable (e.g. non-PSD covariance)."""
 
 
 def _count(n: int, what: str, least: int = 1) -> int:
@@ -62,14 +54,14 @@ def _rate(x: float, what: str, positive: bool = True) -> None:
         raise SpecError(f"{what} must be finite and {'positive' if positive else '>= 0'}, got {x}")
 
 
-def _real(x, what: str, error: type[OtmapError], ragged: type[OtmapError] | None = None) -> np.ndarray:
+def _real(x, what: str) -> np.ndarray:
     """``x`` as an array of real numbers (bool, integer or float dtype), without a copy
-    where it already is one; ``error`` naming ``what`` for other entries (complex,
-    strings, objects) and ``ragged`` (default ``error``) for ragged nested sequences."""
+    where it already is one; :class:`SpecError` naming ``what`` for ragged nested
+    sequences and other entries (complex, strings, objects)."""
     try:
         arr = np.asarray(x)
     except ValueError as exc:  # NumPy refuses ragged nested sequences
-        raise (ragged or error)(f"{what} rows must all have the same length: {exc}") from None
+        raise SpecError(f"{what} rows must all have the same length: {exc}") from None
     if arr.dtype.kind not in "biuf":
-        raise error(f"{what} entries must be real numbers, got dtype {arr.dtype}")
+        raise SpecError(f"{what} entries must be real numbers, got dtype {arr.dtype}")
     return arr

@@ -383,8 +383,8 @@ def load_checkpoint(path: str | Path) -> Mlp:
     malformed, of another format or version; a layer spec is invalid, there
     are none, or they do not chain; ``params`` is not a vector of the specs'
     parameter count in the header's dtype (the error also names the array),
-    or that dtype is neither float32 nor float64.  A missing file raises
-    the ``OSError``.
+    that dtype is neither float32 nor float64, or a parameter is NaN or
+    infinite.  A missing file raises the ``OSError``.
 
     The net adopts the loaded vector.  Header keys beyond these are ignored.
     """
@@ -402,7 +402,10 @@ def load_checkpoint(path: str | Path) -> Mlp:
                     found = "missing" if params is None else f"of dtype {params.dtype}"
                     raise SpecError(f"checkpoint array 'params' is {found}, the header says {meta['dtype']}")
                 # Arrays read from an npz are fresh, writable and C-contiguous, so the net adopts this one.
-                return Mlp(specs, params)
+                net = Mlp(specs, params)
+                if not np.isfinite(params).all():
+                    raise SpecError("checkpoint array 'params' holds NaN or infinite entries")
+                return net
         except (OtmapError, KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
             why = exc if isinstance(exc, OtmapError) else f"unreadable checkpoint: {exc!r}"
             raise SpecError(f"{path}: {why}") from exc

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .errors import InvalidCost, PoolTooLarge, SizeMismatch, _real
+from .errors import PoolTooLarge, SizeMismatch, SpecError, _real
 
 # Dense k x k matrices only; above this the cost matrix alone is > 2 GiB.
 MAX_DENSE_K = 16384
@@ -57,21 +57,21 @@ class PointSet:
     """A batch of k points in d dimensions, rows = points.
 
     The universal currency between modules.  Data is stored as a read-only
-    float64 array (unpickling validates it again).  Every entry must be a
-    finite real number, else :class:`InvalidCost`; ragged or non-2-D input,
-    or no point, raises :class:`SizeMismatch`.
+    float64 array (unpickling validates it again).  Ragged, non-2-D or
+    empty input, or an entry that is not a finite real number, raises
+    :class:`SpecError`.
     """
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _real(self.data, "point set", InvalidCost, ragged=SizeMismatch).astype(np.float64)
+        arr = _real(self.data, "point set").astype(np.float64)
         if arr.ndim != 2:
-            raise SizeMismatch(f"point set must be 2-D (k, d), got shape {arr.shape}")
+            raise SpecError(f"point set must be 2-D (k, d), got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise SizeMismatch(f"point set needs k >= 1 and d >= 1, got shape {arr.shape}")
+            raise SpecError(f"point set needs k >= 1 and d >= 1, got shape {arr.shape}")
         if not np.isfinite(arr).all():
-            raise InvalidCost("point set contains NaN or infinite entries")
+            raise SpecError("point set contains NaN or infinite entries")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -114,12 +114,12 @@ class CostMatrix:
 
 
 def _permutation(perm: np.ndarray) -> np.ndarray:
-    """``perm`` as an array if it is a 1-D integer permutation of 0..k-1, k >= 1; else :class:`SizeMismatch`."""
-    perm = _real(perm, "perm", SizeMismatch)
+    """``perm`` as an array if it is a 1-D integer permutation of 0..k-1, k >= 1; else :class:`SpecError`."""
+    perm = _real(perm, "perm")
     k = len(perm) if perm.ndim == 1 else 0
     in_range = k > 0 and perm.dtype.kind in "iu" and perm.min() >= 0 and perm.max() < k
     if not (in_range and (np.bincount(perm.astype(np.intp), minlength=k) == 1).all()):
-        raise SizeMismatch(
+        raise SpecError(
             f"perm must be a 1-D integer permutation of 0..k-1, got shape {perm.shape}, dtype {perm.dtype}"
         )
     return perm
@@ -131,7 +131,7 @@ class Assignment:
 
     ``perm[i]`` is the target index matched to source point i;  ``perm``
     is always a permutation of 0..k-1 (checked on construction, else
-    :class:`SizeMismatch`).  It is stored as a private read-only integer
+    :class:`SpecError`).  It is stored as a private read-only integer
     array, so a list comes back as an array and writing to the caller's
     array afterwards changes nothing here.
     """
@@ -213,8 +213,8 @@ def solve_assignment(costs: CostMatrix) -> Assignment:
     """Exact minimum-total-cost bijection for a matrix from :func:`pairwise_cost`.
 
     Exact (to float64 rounding) and deterministic per input.  Infinite
-    entries (coordinates large enough for their squares to overflow) raise
-    :class:`InvalidCost`.
+    entries (finite coordinates large enough for their squares to overflow)
+    are out-of-range input and raise :class:`SpecError`.
     ``total_cost`` always sums the given costs over the returned permutation.
 
     The warm start needs one k x k scratch buffer.  Above
@@ -226,7 +226,7 @@ def solve_assignment(costs: CostMatrix) -> Assignment:
     # Squared distances between finite points are never negative or NaN, so
     # the maximum alone finds an overflow, without a k x k mask.
     if not np.isfinite(values.max()):
-        raise InvalidCost("cost matrix contains infinite entries")
+        raise SpecError("cost matrix contains infinite entries")
     a, b = costs.points
     lend = costs.k > PRIVATE_COPY_MAX_K
     if lend:

@@ -17,12 +17,12 @@ def write_pgm(path: str | Path, gray: np.ndarray) -> None:
     """Write a (H, W) array of [0, 1] grays as binary PGM (P5, maxval 255).
 
     Grays outside [0, 1] are clipped; a gray that is not a finite real
-    number (NaN, infinite, complex, a string) raises :class:`SpecError`, and
-    ragged rows or another rank :class:`SizeMismatch`.
+    number (NaN, infinite, complex, a string), ragged rows or another rank
+    raise :class:`SpecError`.
     """
-    gray = _real(gray, "PGM gray", SpecError, ragged=SizeMismatch)
+    gray = _real(gray, "PGM gray")
     if gray.ndim != 2:
-        raise SizeMismatch(f"PGM needs a 2-D gray image, got shape {gray.shape}")
+        raise SpecError(f"PGM needs a 2-D gray image, got shape {gray.shape}")
     if not np.isfinite(gray).all():
         raise SpecError("PGM grays must be finite")
     data = np.clip(np.rint(gray * 255.0), 0, 255).astype(np.uint8)

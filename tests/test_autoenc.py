@@ -84,6 +84,16 @@ class TestSpecs:
         with pytest.raises(SpecError):
             AutoencoderSpec(input_dim=10, hidden=(0,), latent_dim=2)
 
+    @pytest.mark.parametrize("hidden", [5, None], ids=["int", "none"])
+    def test_rejects_hidden_that_is_not_an_iterable(self, hidden):
+        with pytest.raises(SpecError, match="iterable of widths"):
+            AutoencoderSpec(input_dim=4, hidden=hidden)
+
+    def test_stores_hidden_as_a_hashable_tuple_of_ints(self):
+        spec = AutoencoderSpec(input_dim=4, hidden=[np.int64(4)])
+        assert spec.hidden == (4,) and type(spec.hidden[0]) is int
+        assert hash(spec) == hash(AutoencoderSpec(input_dim=4, hidden=(4,)))
+
 
 class TestTraining:
     def test_memorizes_single_repeated_image(self):

@@ -5,7 +5,7 @@ import pytest
 
 from otmap.baseline import ClusterModel, _plusplus_seeds, kmeans_fit, sample_cluster_model
 from otmap.datasets import SyntheticKind, SyntheticSpec, make_moons
-from otmap.errors import ModelError, SpecError
+from otmap.errors import SpecError
 from otmap.ot import PointSet
 
 
@@ -93,7 +93,7 @@ class TestSampleClusterModel:
             means=np.array([[0.0]]),
             covariances=np.array([[[-1.0]]]),
         )
-        with pytest.raises(ModelError):
+        with pytest.raises(SpecError, match="not PSD"):
             sample_cluster_model(model, 10, seed=0)
 
     def test_lists_are_stored_as_float_arrays(self):
@@ -111,18 +111,23 @@ class TestSampleClusterModel:
             assert not arr.flags.writeable
 
     @pytest.mark.parametrize(
-        "fields",
+        "fields, match",
         [
-            {"weights": [1.0], "means": [[0.0], [1.0, 2.0]], "covariances": [[[1.0]]]},
-            {"weights": [0.5, [0.5]], "means": [[0.0]], "covariances": [[[1.0]]]},
-            {"weights": [1.0], "means": [[0.0]], "covariances": [[[1.0]], [[1.0, 0.0]]]},
-            {"weights": [1.0], "means": [[0.0]], "covariances": [[1.0]]},
+            ({"weights": [1.0], "means": [[0.0], [1.0, 2.0]], "covariances": [[[1.0]]]}, "same length"),
+            ({"weights": [0.5, [0.5]], "means": [[0.0]], "covariances": [[[1.0]]]}, "same length"),
+            ({"weights": [1.0], "means": [[0.0]], "covariances": [[[1.0]], [[1.0, 0.0]]]}, "same length"),
+            ({"weights": [1.0], "means": [[0.0]], "covariances": [[1.0]]}, r"covariances \(k, d, d\)"),
         ],
         ids=["ragged-means", "ragged-weights", "ragged-covariances", "covariances-of-rank-2"],
     )
-    def test_rejects_ragged_or_misranked_input(self, fields):
-        with pytest.raises(ModelError):
+    def test_rejects_ragged_or_misranked_input(self, fields, match):
+        with pytest.raises(SpecError, match=match):
             ClusterModel(**fields)
+
+    def test_samples_from_weights_that_sum_to_one_within_tolerance(self):
+        # The sum is within ClusterModel's 1e-9 of 1 but past the 1e-12 multinomial allows.
+        model = ClusterModel([0.5 + 3e-10, 0.5 + 3e-10, 0.0], [[0.0], [1.0], [2.0]], np.ones((3, 1, 1)))
+        assert sample_cluster_model(model, 5, seed=0).k == 5
 
     def test_zero_count_rejected(self):
         model = ClusterModel(
@@ -147,7 +152,7 @@ class TestSampleClusterModel:
 
 class TestClusterModelJson:
     def test_invalid_weights_rejected(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(SpecError, match="sum to 1"):
             ClusterModel(
                 weights=np.array([0.5, 0.2]),
                 means=np.zeros((2, 2)),
@@ -155,19 +160,19 @@ class TestClusterModelJson:
             )
 
     def test_nan_means_rejected(self):
-        with pytest.raises(ModelError, match="finite"):
+        with pytest.raises(SpecError, match="finite"):
             ClusterModel(
                 weights=np.array([1.0]), means=np.array([[np.nan, 0.0]]), covariances=np.eye(2)[None]
             )
 
     def test_nan_weight_rejected(self):
-        with pytest.raises(ModelError, match="finite"):
+        with pytest.raises(SpecError, match="finite"):
             ClusterModel(
                 weights=np.array([np.nan, 1.0]), means=np.array([[0.0], [1.0]]), covariances=np.ones((2, 1, 1))
             )
 
     def test_infinite_covariance_rejected(self):
-        with pytest.raises(ModelError, match="finite"):
+        with pytest.raises(SpecError, match="finite"):
             ClusterModel(
                 weights=np.array([1.0]),
                 means=np.zeros((1, 2)),
@@ -175,5 +180,5 @@ class TestClusterModelJson:
             )
 
     def test_flat_means_rejected(self):
-        with pytest.raises(ModelError, match="means must be"):
+        with pytest.raises(SpecError, match="means must be"):
             ClusterModel(weights=np.array([0.5, 0.5]), means=np.zeros(2), covariances=np.ones((2, 1, 1)))

@@ -628,7 +628,7 @@ class TestCheckpoints:
         "damage",
         ["no-meta", "layer-without-activation", "bad-dim", "bad-activation", "no-layers", "int-dtype",
          "float16-dtype", "version-1", "version-2", "not-npz", "empty", "truncated", "single-array",
-         "object-params", "bad-crc", "bad-deflate"],
+         "object-params", "bad-crc", "bad-deflate", "nan-params"],
     )
     def test_rejects_malformed_file_naming_it(self, tmp_path, damage):
         net = init_mlp([LayerSpec(2, 4), LayerSpec(4, 2, Activation.IDENTITY)], seed=0)
@@ -670,6 +670,10 @@ class TestCheckpoints:
         elif damage == "object-params":
             # np.savez pickles an object array; the loader refuses pickles.
             self._rewrite(path, params=np.array([0.0] * (net.param_count - 1) + [None], dtype=object))
+        elif damage == "nan-params":
+            # A diverged net saved as is: the header and array are well formed.
+            net.params[3] = np.nan
+            save_checkpoint(path, net)
         elif damage == "bad-crc":
             raw = bytearray(path.read_bytes())
             raw[raw.index(net.params.tobytes()) + 5] ^= 0x01

@@ -39,7 +39,7 @@ def test_pgm_writes_bool_and_integer_grays_as_their_values(tmp_path, gray):
 
 @pytest.mark.parametrize("shape", [(4,), (2, 2, 1)], ids=["1-d", "3-d"])
 def test_pgm_rejects_an_image_that_is_not_2d(tmp_path, shape):
-    with pytest.raises(SizeMismatch, match="2-D"):
+    with pytest.raises(SpecError, match="2-D"):
         write_pgm(tmp_path / "g.pgm", np.zeros(shape))
     assert not (tmp_path / "g.pgm").exists()
 

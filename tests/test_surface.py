@@ -20,7 +20,7 @@ from otmap import errors
 MODULES = ["autoenc", "baseline", "datasets", "errors", "mappers", "nn", "ot", "plots"]
 SETTABLE_VALUES = 37
 PUBLIC_NAMES = 32
-ERROR_TYPES = 6
+ERROR_TYPES = 4
 
 
 def public_objects() -> list[tuple[str, object]]:
@@ -54,8 +54,8 @@ def test_settable_value_count_is_pinned():
 
 
 def test_error_type_count_is_pinned():
-    # One type per fault: a count out of range is always SpecError, two counts
-    # that disagree are always SizeMismatch.
+    # One type per fault: a count out of range or a malformed array is always
+    # SpecError, two counts that disagree are always SizeMismatch.
     found = [
         name
         for name, obj in vars(errors).items()
