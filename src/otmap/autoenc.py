@@ -44,8 +44,8 @@ class AutoencoderSpec:
     latent_dim: int = 8
 
     def __post_init__(self) -> None:
-        _count(self.input_dim, "input_dim")
-        _count(self.latent_dim, "latent_dim")
+        object.__setattr__(self, "input_dim", _count(self.input_dim, "input_dim"))
+        object.__setattr__(self, "latent_dim", _count(self.latent_dim, "latent_dim"))
         try:
             widths = iter(self.hidden)
         except TypeError:

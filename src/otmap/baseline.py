@@ -2,7 +2,9 @@
 
 Fits Lloyd's algorithm with k-means++ seeding, then approximates each
 cluster with a full-covariance Gaussian weighted by its occupancy fraction.
-Sampling the mixture gives the comparison generator.
+Sampling the mixture gives the comparison generator.  Every covariance is
+checked symmetric and PSD when the model is built, so sampling a model
+can fail only on its count or seed.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ class ClusterModel:
     The three fields are stored as private read-only float64 copies, so
     writing to the caller's arrays afterwards changes nothing here; the
     weights are divided by their sum, so :func:`sample_cluster_model` can
-    always draw from them.  Any malformed field raises :class:`SpecError`.
+    always draw from them.  Any malformed field raises :class:`SpecError`,
+    a covariance that is asymmetric or not PSD (past -1e-9) included.
     """
 
     weights: np.ndarray  # (k,), >= 0, sums to 1
@@ -36,9 +39,9 @@ class ClusterModel:
     def __post_init__(self) -> None:
         for name in ("weights", "means", "covariances"):
             object.__setattr__(self, name, _real(getattr(self, name), f"cluster {name}").astype(np.float64))
-        if self.means.ndim != 2 or self.covariances.ndim != 3:
+        if self.means.ndim != 2 or self.covariances.ndim != 3 or self.means.shape[1] == 0:
             raise SpecError(
-                f"means must be (k, d) and covariances (k, d, d), got shapes "
+                f"means must be (k, d) with d >= 1 and covariances (k, d, d), got shapes "
                 f"{self.means.shape} and {self.covariances.shape}"
             )
         w = self.weights
@@ -48,9 +51,11 @@ class ClusterModel:
             raise SpecError("weights, means, and covariances disagree on k or d")
         if not (np.isfinite(self.means).all() and np.isfinite(self.covariances).all()):
             raise SpecError("cluster means and covariances must be finite")
-        for cov in self.covariances:
-            if not np.allclose(cov, cov.T, atol=1e-12):
-                raise SpecError("covariance matrices must be symmetric")
+        if not np.allclose(self.covariances, self.covariances.transpose(0, 2, 1), atol=1e-12):
+            raise SpecError("covariance matrices must be symmetric")
+        min_eval = np.linalg.eigvalsh(self.covariances).min()
+        if min_eval < -1e-9:
+            raise SpecError(f"covariance is not PSD (min eigenvalue {min_eval:.3e})")
         w /= w.sum()
         for arr in (w, self.means, self.covariances):
             arr.setflags(write=False)
@@ -123,30 +128,16 @@ def kmeans_fit(points: PointSet, k: int, seed: int) -> ClusterModel:
     return ClusterModel(weights=weights, means=means, covariances=covs)
 
 
-def _gaussian_factor(cov: np.ndarray) -> np.ndarray:
-    """Matrix L with L L^T = cov.
-
-    Cholesky on the fast path; on the PSD boundary (e.g. a degenerate
-    cluster) fall back to an eigendecomposition with negative eigenvalues
-    clipped at the -1e-9 tolerance, beyond which the model is rejected.
-    """
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        pass
-    evals, evecs = np.linalg.eigh(cov)
-    if evals.min() < -1e-9:
-        raise SpecError(f"covariance is not PSD (min eigenvalue {evals.min():.3e})")
-    return evecs * np.sqrt(np.clip(evals, 0.0, None))
-
-
 def sample_cluster_model(model: ClusterModel, n: int, seed: int) -> PointSet:
-    """Draw n points: cluster by weight, then its Gaussian.  A covariance
-    that is not PSD raises :class:`SpecError`."""
+    """Draw n points: cluster by weight, then its Gaussian, factored as
+    ``evecs * sqrt(evals)`` from one ``eigh`` of the covariance stack with
+    the eigenvalues clipped at 0, so a singular covariance samples on its
+    subspace."""
     n = _count(n, "number of samples n")
     rng = np.random.default_rng(_seed(seed))
     counts = rng.multinomial(n, model.weights)
-    factors = [_gaussian_factor(cov) for cov in model.covariances]
+    evals, evecs = np.linalg.eigh(model.covariances)
+    factors = evecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]
     chunks = []
     for c, count in enumerate(counts):
         if count == 0:

@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import SpecError, _count, _rate, _seed
+from .errors import SizeMismatch, SpecError, _count, _rate, _seed
 from .nn import (
     Mlp,
     _Adam,
@@ -218,7 +218,7 @@ def _check_mapper(cfg: TrainConfig, net: Mlp) -> PriorSpec:
     if cfg.prior is None:
         raise SpecError("mapper training needs a prior spec")
     if net.in_dim != cfg.prior.dim:
-        raise SpecError(f"network input dim {net.in_dim} != prior dim {cfg.prior.dim}")
+        raise SizeMismatch(f"network input dim {net.in_dim} != prior dim {cfg.prior.dim}")
     return cfg.prior
 
 
@@ -234,7 +234,7 @@ def train_ottrans(targets: PointSet, cfg: TrainConfig, net: Mlp) -> TrainResult:
     if cfg.batch_k > m:
         raise SpecError(f"batch_k ({cfg.batch_k}) exceeds the target pool size ({m})")
     if net.out_dim != targets.d:
-        raise SpecError(f"network output dim {net.out_dim} != target dim {targets.d}")
+        raise SizeMismatch(f"network output dim {net.out_dim} != target dim {targets.d}")
 
     prior_rng, batch_rng = _spawn_rngs(cfg.seed, 2)
     noise = sample_prior(prior, m, prior_rng)  # PoolTooLarge surfaces in pairwise_cost
@@ -261,7 +261,7 @@ def train_otgen(
         for _ in range(cfg.steps):
             z = target_sampler()
             if z.k != cfg.batch_k:
-                raise SpecError(f"target sampler returned {z.k} points, expected {cfg.batch_k}")
+                raise SizeMismatch(f"target sampler returned {z.k} points, expected {cfg.batch_k}")
             noise = sample_prior(prior, cfg.batch_k, prior_rng)
 
             def pair(out: np.ndarray) -> tuple[np.ndarray, tuple | None]:

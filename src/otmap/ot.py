@@ -36,7 +36,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .errors import PoolTooLarge, SizeMismatch, SpecError, _real
+from .errors import PoolTooLarge, SizeMismatch, SpecError, _rate, _real
 
 # Dense k x k matrices only; above this the cost matrix alone is > 2 GiB.
 MAX_DENSE_K = 16384
@@ -130,16 +130,18 @@ class Assignment:
     """A minimum-cost bijection between two equal-size point sets.
 
     ``perm[i]`` is the target index matched to source point i;  ``perm``
-    is always a permutation of 0..k-1 (checked on construction, else
-    :class:`SpecError`).  It is stored as a private read-only integer
-    array, so a list comes back as an array and writing to the caller's
-    array afterwards changes nothing here.
+    is always a permutation of 0..k-1 and ``total_cost`` a finite float
+    >= 0 (checked on construction, else :class:`SpecError`).  ``perm`` is
+    stored as a private read-only integer array, so a list comes back as
+    an array and writing to the caller's array afterwards changes nothing.
     """
 
     perm: np.ndarray
     total_cost: float
 
     def __post_init__(self) -> None:
+        _rate(self.total_cost, "total_cost", positive=False)
+        object.__setattr__(self, "total_cost", float(self.total_cost))
         perm = _permutation(self.perm).copy()
         perm.setflags(write=False)
         object.__setattr__(self, "perm", perm)

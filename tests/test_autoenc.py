@@ -94,6 +94,11 @@ class TestSpecs:
         assert spec.hidden == (4,) and type(spec.hidden[0]) is int
         assert hash(spec) == hash(AutoencoderSpec(input_dim=4, hidden=(4,)))
 
+    def test_stores_input_and_latent_dims_as_ints(self):
+        spec = AutoencoderSpec(input_dim=np.int64(4), hidden=(), latent_dim=np.int32(2))
+        assert (type(spec.input_dim), type(spec.latent_dim)) == (int, int)
+        assert spec == AutoencoderSpec(input_dim=4, hidden=(), latent_dim=2)
+
 
 class TestTraining:
     def test_memorizes_single_repeated_image(self):

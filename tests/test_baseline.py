@@ -87,14 +87,38 @@ class TestSampleClusterModel:
         err = np.abs(pts.data.mean(axis=0) - [1.0, 2.0])
         assert (err <= 3 * sd / np.sqrt(n)).all()
 
+    def test_single_cluster_empirical_covariance(self):
+        cov = np.array([[0.5, 0.3], [0.3, 0.4]])
+        model = ClusterModel(weights=[1.0], means=[[1.0, 2.0]], covariances=[cov])
+        n = 20_000
+        x = sample_cluster_model(model, n, seed=3).data
+        # Entry (i, j) of a Gaussian sample covariance has variance
+        # (cov_ij^2 + cov_ii cov_jj) / n; allow 4 of its standard deviations.
+        sd = np.sqrt((cov**2 + np.outer(np.diag(cov), np.diag(cov))) / n)
+        assert (np.abs(np.cov(x, rowvar=False) - cov) <= 4 * sd).all()
+
+    def test_rank_one_covariance_samples_on_its_line(self):
+        # A singular covariance has no Cholesky factor; its samples lie on its range.
+        model = ClusterModel(weights=[1.0], means=[[1.0, -1.0]], covariances=[[[1.0, 1.0], [1.0, 1.0]]])
+        x = sample_cluster_model(model, 500, seed=4).data - [1.0, -1.0]
+        np.testing.assert_allclose(x[:, 0], x[:, 1], rtol=0, atol=1e-12)
+        assert x[:, 0].std() > 0.5
+
     def test_non_psd_covariance_rejected(self):
-        model = ClusterModel(
-            weights=np.array([1.0]),
-            means=np.array([[0.0]]),
-            covariances=np.array([[[-1.0]]]),
-        )
         with pytest.raises(SpecError, match="not PSD"):
-            sample_cluster_model(model, 10, seed=0)
+            ClusterModel(
+                weights=np.array([1.0]),
+                means=np.array([[0.0]]),
+                covariances=np.array([[[-1.0]]]),
+            )
+
+    def test_psd_tolerance_is_checked_where_the_model_is_built(self):
+        rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+        inside, past = (rot @ np.diag([e, 1.0]) @ rot.T for e in (-5e-10, -2e-9))
+        # A model that is built always samples: its tiny negative eigenvalue is clipped.
+        assert sample_cluster_model(ClusterModel([1.0], [[0.0, 0.0]], [inside]), 10, seed=0).k == 10
+        with pytest.raises(SpecError, match="not PSD"):
+            ClusterModel([1.0], [[0.0, 0.0]], [past])
 
     def test_lists_are_stored_as_float_arrays(self):
         model = ClusterModel(weights=[1.0], means=[[0.0]], covariances=[[[1.0]]])
@@ -178,6 +202,14 @@ class TestClusterModelJson:
                 means=np.zeros((1, 2)),
                 covariances=np.array([[[np.inf, 0.0], [0.0, 1.0]]]),
             )
+
+    def test_asymmetric_covariance_rejected(self):
+        with pytest.raises(SpecError, match="symmetric"):
+            ClusterModel([0.5, 0.5], np.zeros((2, 2)), [np.eye(2), [[1.0, 0.1], [0.0, 1.0]]])
+
+    def test_zero_dimensional_means_rejected(self):
+        with pytest.raises(SpecError, match="d >= 1"):
+            ClusterModel(weights=[1.0], means=np.zeros((1, 0)), covariances=np.zeros((1, 0, 0)))
 
     def test_flat_means_rejected(self):
         with pytest.raises(SpecError, match="means must be"):

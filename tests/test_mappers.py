@@ -333,6 +333,16 @@ class TestTrainOttrans:
         with pytest.raises(SpecError):
             train_ottrans(targets, cfg, small_mapper())
 
+    @pytest.mark.parametrize(
+        "dims, match",
+        [({"in_dim": 3}, "input dim 3 != prior dim 2"), ({"out_dim": 3}, "output dim 3 != target dim 2")],
+        ids=["net-input-vs-prior", "net-output-vs-targets"],
+    )
+    def test_size_disagreement_is_a_size_mismatch(self, dims, match):
+        cfg = TrainConfig(prior=PriorSpec(dim=2), steps=1, batch_k=4)
+        with pytest.raises(SizeMismatch, match=match):
+            train_ottrans(PointSet(np.zeros((8, 2))), cfg, small_mapper(**dims))
+
 
 class TestTrainOtgen:
     def test_constant_target_converges(self):
@@ -342,6 +352,11 @@ class TestTrainOtgen:
         result = train_otgen(sampler, cfg, small_mapper(seed=6))
         assert result.losses.min() < 1e-4  # reaches the bar within the budget
         assert result.losses[-1] < 1e-3
+
+    def test_sampler_batch_of_the_wrong_size_is_a_size_mismatch(self):
+        cfg = TrainConfig(prior=PriorSpec(dim=2), steps=1, batch_k=4)
+        with pytest.raises(SizeMismatch, match="returned 3 points, expected 4"):
+            train_otgen(lambda: PointSet(np.zeros((3, 2))), cfg, small_mapper())
 
     def test_loss_equals_resolved_assignment_cost(self, monkeypatch):
         # lambda = 0: every recorded loss must equal (1/k) x the optimum of

@@ -470,6 +470,17 @@ class TestAssignment:
         listed = Assignment([1, 0], 0.0).perm
         assert isinstance(listed, np.ndarray) and listed.tolist() == [1, 0]
 
+    @pytest.mark.parametrize(
+        "cost", ["x", float("nan"), float("inf"), -1.0, True], ids=["string", "nan", "inf", "negative", "bool"]
+    )
+    def test_rejects_a_total_cost_that_is_not_finite_and_non_negative(self, cost):
+        with pytest.raises(SpecError, match="total_cost"):
+            Assignment([0], cost)
+
+    def test_stores_total_cost_as_a_float(self):
+        cost = Assignment([0], np.float32(2.5)).total_cost
+        assert type(cost) is float and cost == 2.5
+
 
 class TestAssignmentCostGradient:
     def test_zero_at_minimum(self):
