@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import ImageBatch
-from .errors import SizeMismatch, SpecError, _count
+from .errors import SizeMismatch, SpecError, _count, _instance
 from .mappers import TrainConfig, _fit, _frozen_pairs
 from .nn import Activation, LayerSpec, Mlp, _forward_cached, _param_count, init_mlp
 
@@ -56,6 +56,7 @@ class AutoencoderSpec:
 def autoencoder_layer_specs(spec: AutoencoderSpec) -> tuple[list[LayerSpec], list[LayerSpec]]:
     """Encoder and decoder layer specs: LeakyReLU hidden stacks, linear
     latent, sigmoid pixels."""
+    _instance(spec, AutoencoderSpec, "spec")
     enc_dims = (spec.input_dim, *spec.hidden)
     encoder = [LayerSpec(i, o) for i, o in zip(enc_dims, enc_dims[1:])]
     encoder.append(LayerSpec(enc_dims[-1], spec.latent_dim, Activation.IDENTITY))
@@ -76,9 +77,15 @@ def train_autoencoder(images: ImageBatch, spec: AutoencoderSpec, cfg: TrainConfi
     """Minimize mean squared reconstruction error with Adam minibatches.
 
     Batches sweep the image set without replacement, reshuffling each
-    epoch.  Deterministic per cfg.seed.  A non-finite gradient raises
+    epoch; ``cfg.batch_k`` above the image count raises :class:`SpecError`.
+    Deterministic per cfg.seed.  A non-finite gradient raises
     :class:`otmap.errors.NonFiniteGradient` before either half's parameters change.
     """
+    _instance(images, ImageBatch, "images")
+    _instance(spec, AutoencoderSpec, "spec")
+    _instance(cfg, TrainConfig, "cfg")
+    if cfg.batch_k > images.n:
+        raise SpecError(f"batch_k ({cfg.batch_k}) exceeds the image count ({images.n})")
     if images.pixels.shape[1] != spec.input_dim:
         raise SizeMismatch(
             f"autoencoder expects input dim {spec.input_dim}, images have {images.pixels.shape[1]}"
@@ -93,9 +100,8 @@ def train_autoencoder(images: ImageBatch, spec: AutoencoderSpec, cfg: TrainConfi
         enc_specs + dec_specs,
         np.concatenate([init_mlp(enc_specs, seed=enc_seed).params, init_mlp(dec_specs, seed=dec_seed).params]),
     )
-    batch_k = min(cfg.batch_k, images.n)
-    batches = _frozen_pairs(images.pixels, images.pixels, batch_k, batch_rng)
-    result = _fit(net, cfg, batches, batch_k * spec.input_dim)
+    batches = _frozen_pairs(images.pixels, images.pixels, cfg.batch_k, cfg.batch_k * spec.input_dim, batch_rng)
+    result = _fit(net, cfg, batches)
     return AutoencoderResult(
         Mlp(enc_specs, net.params[:split].copy()), Mlp(dec_specs, net.params[split:].copy()), result.losses
     )
@@ -103,6 +109,8 @@ def train_autoencoder(images: ImageBatch, spec: AutoencoderSpec, cfg: TrainConfi
 
 def encode(encoder: Mlp, images: ImageBatch) -> PointSet:
     """Map images to latent vectors (k = n, d = latent dim)."""
+    _instance(encoder, Mlp, "encoder")
+    _instance(images, ImageBatch, "images")
     if images.pixels.shape[1] != encoder.in_dim:
         raise SizeMismatch(
             f"encoder expects input dim {encoder.in_dim}, images have {images.pixels.shape[1]}"
@@ -119,6 +127,8 @@ def decode(decoder: Mlp, latents: PointSet) -> ImageBatch:
 
     The decoder's output dimension must be a square, else :class:`SpecError`.
     """
+    _instance(decoder, Mlp, "decoder")
+    _instance(latents, PointSet, "latents")
     if latents.d != decoder.in_dim:
         raise SizeMismatch(f"decoder expects latent dim {decoder.in_dim}, got {latents.d}")
     side = int(round(np.sqrt(decoder.out_dim)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecError, _count, _real, _seed
+from .errors import SpecError, _count, _instance, _real, _seed
 from .ot import PointSet
 
 COV_RIDGE = 1e-6
@@ -91,6 +91,7 @@ def kmeans_fit(points: PointSet, k: int, seed: int) -> ClusterModel:
     Covariances are full sample covariances with a small diagonal ridge.
     ``k`` above the number of distinct points raises :class:`SpecError`.
     """
+    _instance(points, PointSet, "points")
     k = _count(k, "number of clusters k")
     x = points.data
     distinct = len(np.unique(x, axis=0))
@@ -133,6 +134,7 @@ def sample_cluster_model(model: ClusterModel, n: int, seed: int) -> PointSet:
     ``evecs * sqrt(evals)`` from one ``eigh`` of the covariance stack with
     the eigenvalues clipped at 0, so a singular covariance samples on its
     subspace."""
+    _instance(model, ClusterModel, "model")
     n = _count(n, "number of samples n")
     rng = np.random.default_rng(_seed(seed))
     counts = rng.multinomial(n, model.weights)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SizeMismatch, SpecError, _count, _real, _seed
+from .errors import SizeMismatch, SpecError, _count, _instance, _real, _seed
 from .ot import PointSet
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -67,6 +67,7 @@ def make_moons(spec: SyntheticSpec) -> PointSet:
     first in row order).  Noise of standard deviation ``MOONS_NOISE_SD`` is
     added, then every coordinate is multiplied by ``MOONS_SCALE``.
     """
+    _instance(spec, SyntheticSpec, "spec")
     rng = np.random.default_rng(spec.seed)
     n_up = (spec.n + 1) // 2
     n_lo = spec.n - n_up

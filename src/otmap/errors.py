@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its count, seed, rate and real-array checks.
+"""Exception types shared across the package, and its count, seed, rate, real-array and type checks.
 
 Every error raised on a contract violation derives from :class:`OtmapError`,
 so a caller can catch every package failure with one ``except`` clause
@@ -52,6 +52,13 @@ def _rate(x: float, what: str, positive: bool = True) -> None:
     real = isinstance(x, numbers.Real) and not isinstance(x, bool)
     if not (real and (0 < x if positive else 0 <= x) and x < math.inf):
         raise SpecError(f"{what} must be finite and {'positive' if positive else '>= 0'}, got {x}")
+
+
+def _instance(x, cls: type, what: str) -> None:
+    """Check ``x`` is a ``cls`` (a subclass too); :class:`SpecError` naming ``what`` and
+    the type it got otherwise, such as "points must be of type PointSet, got ndarray"."""
+    if not isinstance(x, cls):
+        raise SpecError(f"{what} must be of type {cls.__name__}, got {type(x).__name__}")
 
 
 def _real(x, what: str) -> np.ndarray:

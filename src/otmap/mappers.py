@@ -11,10 +11,11 @@ point distribution, using exact assignments as the supervision signal:
   regresses each prediction onto its matched target.
 
 They differ only in where each step's pairs come from.  Both run the same
-step (``_fit``): forward the batch's noise, ask the batch's pairing for the
-matched targets (and any extra objective term), then squared cost, backward
-and one Adam update.  The autoencoder (``autoenc.train_autoencoder``) is the
-third trainer on that step: its pairing returns the input images.  The
+step (``_fit``): forward the batch's input, take the loss and its gradient
+from the batch's objective (OTGen's solves the assignment first and adds
+the weighted diversity term), then backward and one Adam update.  The
+autoencoder (``autoenc.train_autoencoder``) is the third trainer on that
+step: its objective is the per-pixel squared cost to its inputs.  The
 assignment is always treated as a constant during backprop: it is piecewise
 constant in the network weights, so no gradient flows through the solver.
 """
@@ -27,7 +28,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import SizeMismatch, SpecError, _count, _rate, _seed
+from .errors import SizeMismatch, SpecError, _count, _instance, _rate, _seed
 from .nn import (
     Mlp,
     _Adam,
@@ -68,6 +69,8 @@ class PriorSpec:
 
 def sample_prior(spec: PriorSpec, k: int, rng: np.random.Generator) -> PointSet:
     """k i.i.d. draws from the prior, taken from ``rng`` so successive draws advance."""
+    _instance(spec, PriorSpec, "spec")
+    _instance(rng, np.random.Generator, "rng")
     k = _count(k, "number of prior samples k")
     return PointSet(rng.uniform(-1.0, 1.0, size=(k, spec.dim)))
 
@@ -77,8 +80,8 @@ class TrainConfig:
     """Hyperparameters of one training run (the cost is squared Euclidean).
 
     ``prior`` is required by the mapper trainers and ignored by the
-    autoencoder trainer; ``lambda_div`` is read by ``train_otgen`` only.
-    OTTrans's pool is the target set it is given.
+    autoencoder trainer; ``lambda_div`` weights the diversity term that only
+    ``train_otgen``'s objective has.  OTTrans's pool is the target set it is given.
     """
 
     prior: PriorSpec | None = None
@@ -122,6 +125,8 @@ def diversity_penalty(p: PointSet, z: PointSet) -> tuple[float, np.ndarray]:
     adds exactly zero (a ``W.sum(1) * x - W @ x`` form would cancel
     catastrophically against the 1e12 weights the floor gives such pairs).
     """
+    _instance(p, PointSet, "p")
+    _instance(z, PointSet, "z")
     _check_same_shape(p, z)
     _count(p.k, "diversity penalty k", least=2)
     x = p.data
@@ -146,6 +151,9 @@ def diversity_penalty(p: PointSet, z: PointSet) -> tuple[float, np.ndarray]:
 
 def generate(net: Mlp, prior: PriorSpec, n: int, rng: np.random.Generator) -> PointSet:
     """Push n fresh prior samples through the network."""
+    _instance(net, Mlp, "net")
+    _instance(prior, PriorSpec, "prior")
+    _instance(rng, np.random.Generator, "rng")
     return forward(net, sample_prior(prior, n, rng))
 
 
@@ -159,18 +167,19 @@ def _epoch_indices(n: int, batch_k: int, rng: np.random.Generator) -> Iterator[n
 
 
 def _frozen_pairs(
-    inputs: np.ndarray, targets: np.ndarray, batch_k: int, rng: np.random.Generator
+    inputs: np.ndarray, targets: np.ndarray, batch_k: int, divisor: int, rng: np.random.Generator
 ) -> Iterator[tuple[np.ndarray, Callable]]:
-    # _fit batches over fixed (input row, target row) pairs, drawn by _epoch_indices.
+    # _fit batches over fixed (input, target) row pairs from _epoch_indices, scored by squared cost / divisor.
     for idx in _epoch_indices(len(inputs), batch_k, rng):
         y = targets[idx]
-        yield inputs[idx], lambda out: (y, None)
+        yield inputs[idx], lambda out: _squared_cost_and_grad(out, y, divisor)
 
 
 def pool_sampler(
     pool: PointSet, batch_k: int, seed: int
 ) -> Callable[[], PointSet]:
     """Epoch-style batch source: without replacement, reshuffled when spent."""
+    _instance(pool, PointSet, "pool")
     batch_k = _count(batch_k, "batch_k")
     if batch_k > pool.k:
         raise SpecError(f"batch_k ({batch_k}) exceeds pool size ({pool.k})")
@@ -186,28 +195,22 @@ def _squared_cost_and_grad(pred: np.ndarray, target: np.ndarray, divisor: int) -
     return loss, (2.0 / divisor) * diff
 
 
-def _fit(net: Mlp, cfg: TrainConfig, batches: Iterator[tuple[np.ndarray, Callable]], divisor: int) -> TrainResult:
+def _fit(net: Mlp, cfg: TrainConfig, batches: Iterator[tuple[np.ndarray, Callable]]) -> TrainResult:
     """The training step all three trainers share, run for ``cfg.steps`` batches.
 
-    Each batch is (network input, pairing).  The pairing maps the forward
-    output to its matched targets and an optional extra objective term
-    (value, gradient wrt the output), already weighted; it is called once,
-    before the next batch is drawn.  The squared cost is summed and divided
-    by ``divisor``: the batch's row count for the mappers (mean over pairs),
-    its entry count for the autoencoder (mean over pixels).  Adam's state
-    starts fresh here and lives for this call.
+    Each batch is (network input, objective).  The objective maps the
+    forward output to (loss, gradient of the loss wrt the output); it is
+    called once, before the next batch is drawn.  ``_fit`` knows no
+    trainer: forward, objective, backward, Adam.  Adam's state starts
+    fresh here and lives for this call.
     """
     adam = _Adam(net.params)
     # Reused every step: a fresh 4.3 MB autoencoder gradient came back from malloc as new pages.
     grads = Mlp(net.specs, np.empty_like(net.params))
     losses = np.empty(cfg.steps)
-    for step, (x, pair) in zip(range(cfg.steps), batches):
+    for step, (x, objective) in zip(range(cfg.steps), batches):
         out, cache = _forward_cached(net, x)
-        y, extra = pair(out)
-        loss, out_grad = _squared_cost_and_grad(out, y, divisor)
-        if extra is not None:
-            loss += extra[0]
-            out_grad = out_grad + extra[1]
+        loss, out_grad = objective(out)
         _backward_from_cache(net, cache, out_grad, grads)
         adam_step(net, grads, adam, cfg.lr)
         losses[step] = loss
@@ -215,6 +218,8 @@ def _fit(net: Mlp, cfg: TrainConfig, batches: Iterator[tuple[np.ndarray, Callabl
 
 
 def _check_mapper(cfg: TrainConfig, net: Mlp) -> PriorSpec:
+    _instance(cfg, TrainConfig, "cfg")
+    _instance(net, Mlp, "net")
     if cfg.prior is None:
         raise SpecError("mapper training needs a prior spec")
     if net.in_dim != cfg.prior.dim:
@@ -229,6 +234,7 @@ def train_ottrans(targets: PointSet, cfg: TrainConfig, net: Mlp) -> TrainResult:
     is drawn once, one m x m assignment is solved, and the resulting pairs
     stay frozen while the network trains on epoch-shuffled minibatches of them.
     """
+    _instance(targets, PointSet, "targets")
     prior = _check_mapper(cfg, net)
     m = targets.k
     if cfg.batch_k > m:
@@ -241,7 +247,7 @@ def train_ottrans(targets: PointSet, cfg: TrainConfig, net: Mlp) -> TrainResult:
     sigma = solve_assignment(pairwise_cost(noise, targets))
     matched = targets.data[sigma.perm]
 
-    return _fit(net, cfg, _frozen_pairs(noise.data, matched, cfg.batch_k, batch_rng), cfg.batch_k)
+    return _fit(net, cfg, _frozen_pairs(noise.data, matched, cfg.batch_k, cfg.batch_k, batch_rng))
 
 
 def train_otgen(
@@ -264,18 +270,19 @@ def train_otgen(
                 raise SizeMismatch(f"target sampler returned {z.k} points, expected {cfg.batch_k}")
             noise = sample_prior(prior, cfg.batch_k, prior_rng)
 
-            def pair(out: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+            def objective(out: np.ndarray) -> tuple[float, np.ndarray]:
                 preds = PointSet(out)
                 sigma = solve_assignment(pairwise_cost(preds, z))
-                extra = None
+                loss, grad = _squared_cost_and_grad(out, z.data[sigma.perm], cfg.batch_k)
                 if cfg.lambda_div > 0:
                     dval, dgrad = diversity_penalty(preds, z)
-                    extra = (cfg.lambda_div * dval, cfg.lambda_div * dgrad)
-                return z.data[sigma.perm], extra
+                    loss += cfg.lambda_div * dval
+                    grad = grad + cfg.lambda_div * dgrad
+                return loss, grad
 
-            yield noise.data, pair
+            yield noise.data, objective
 
-    return _fit(net, cfg, rematched(), cfg.batch_k)
+    return _fit(net, cfg, rematched())
 
 
 def _spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteGradient, OtmapError, SizeMismatch, SpecError, _count, _seed
+from .errors import NonFiniteGradient, OtmapError, SizeMismatch, SpecError, _count, _instance, _seed
 from .ot import PointSet
 
 
@@ -246,6 +246,8 @@ def _forward_cached(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
 
 def forward(net: Mlp, batch: PointSet) -> PointSet:
     """Map a point set through the network; output is k x out_dim."""
+    _instance(net, Mlp, "net")
+    _instance(batch, PointSet, "batch")
     if batch.d != net.in_dim:
         raise SizeMismatch(f"network expects input dim {net.in_dim}, got {batch.d}")
     out, _ = _forward_cached(net, batch.data)
@@ -280,6 +282,8 @@ def backward(net: Mlp, batch: PointSet, output_grad: np.ndarray) -> Mlp:
     forward cache); the gradient-check tests do, and
     ``benchmarks/tracing.py`` wraps this name in ``nn``.
     """
+    _instance(net, Mlp, "net")
+    _instance(batch, PointSet, "batch")
     if batch.d != net.in_dim:
         raise SizeMismatch(f"network expects input dim {net.in_dim}, got {batch.d}")
     _, cache = _forward_cached(net, batch.data)
@@ -315,6 +319,8 @@ def adam_step(net: Mlp, grads: Mlp, state: _Adam, lr: float) -> None:
     :class:`NonFiniteGradient`, naming the first layer that holds a NaN or
     infinite entry, before any parameter or moment moves.
     """
+    _instance(net, Mlp, "net")
+    _instance(grads, Mlp, "grads")
     g = grads.params
     # min and max propagate NaN, so two reductions stand in for a mask.
     if not (np.isfinite(g.min()) and np.isfinite(g.max())):
@@ -364,6 +370,7 @@ def save_checkpoint(path: str | Path, net: Mlp) -> None:
     ``.npz`` suffix is appended: ``save_checkpoint("ckpt", net)`` writes
     ``ckpt``, which ``load_checkpoint("ckpt")`` reads.
     """
+    _instance(net, Mlp, "net")
     meta = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,

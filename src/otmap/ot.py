@@ -36,7 +36,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .errors import PoolTooLarge, SizeMismatch, SpecError, _rate, _real
+from .errors import PoolTooLarge, SizeMismatch, SpecError, _instance, _rate, _real
 
 # Dense k x k matrices only; above this the cost matrix alone is > 2 GiB.
 MAX_DENSE_K = 16384
@@ -160,6 +160,8 @@ def pairwise_cost(a: PointSet, b: PointSet) -> CostMatrix:
     Entry (i, j) is ``|a_i - b_j|^2``.  Raises :class:`SizeMismatch` on
     shape disagreement and :class:`PoolTooLarge` above the dense limit.
     """
+    _instance(a, PointSet, "a")
+    _instance(b, PointSet, "b")
     _check_same_shape(a, b)
     if a.k > MAX_DENSE_K:
         raise PoolTooLarge(f"k={a.k} exceeds the dense cost-matrix limit of {MAX_DENSE_K}")
@@ -224,6 +226,7 @@ def solve_assignment(costs: CostMatrix) -> Assignment:
     costs during the solve and is rebuilt from the points, bit for bit,
     before this returns or raises.  At or below it the buffer is a private copy.
     """
+    _instance(costs, CostMatrix, "costs")
     values = costs.values
     # Squared distances between finite points are never negative or NaN, so
     # the maximum alone finds an overflow, without a k x k mask.

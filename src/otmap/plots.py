@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import ImageBatch
-from .errors import SizeMismatch, SpecError, _count, _real
+from .errors import SizeMismatch, SpecError, _count, _instance, _real
 
 
 def write_pgm(path: str | Path, gray: np.ndarray) -> None:
@@ -36,6 +36,7 @@ def tile_images(images: ImageBatch, rows: int, cols: int) -> np.ndarray:
 
     ``rows`` and ``cols`` must be integers >= 1, else :class:`SpecError`.
     """
+    _instance(images, ImageBatch, "images")
     rows = _count(rows, "grid rows")
     cols = _count(cols, "grid cols")
     if images.n < rows * cols:

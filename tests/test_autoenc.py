@@ -56,7 +56,7 @@ def two_net_reference(images, spec, cfg):
     decoder = init_mlp(dec_specs, seed=int(init_seq[1].generate_state(1)[0]))
     batch_rng = np.random.Generator(np.random.PCG64(init_seq[2]))
     adam_enc, adam_dec = _Adam(encoder.params), _Adam(decoder.params)
-    batches = _epoch_indices(images.n, min(cfg.batch_k, images.n), batch_rng)
+    batches = _epoch_indices(images.n, cfg.batch_k, batch_rng)
     losses = np.empty(cfg.steps)
     for step, idx in zip(range(cfg.steps), batches):
         x = images.pixels[idx]
@@ -183,6 +183,15 @@ class TestTraining:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed).spawn(3)[2]))
         first, second = rng.permutation(10).tolist(), rng.permutation(10).tolist()
         assert steps == [first[:4], first[4:8], second[:4], second[4:8]]
+
+    def test_batch_larger_than_the_image_count(self):
+        # Like OTTrans's pool and pool_sampler: a batch the images cannot fill is refused, not shrunk.
+        with pytest.raises(SpecError, match=r"batch_k \(65\) exceeds the image count \(64\)"):
+            train_autoencoder(
+                tiny_images(n=64),
+                AutoencoderSpec(input_dim=36, hidden=(8,), latent_dim=2),
+                TrainConfig(steps=1, batch_k=65),
+            )
 
     def test_input_dim_mismatch(self):
         with pytest.raises(SizeMismatch):

@@ -358,9 +358,11 @@ class TestTrainOtgen:
         with pytest.raises(SizeMismatch, match="returned 3 points, expected 4"):
             train_otgen(lambda: PointSet(np.zeros((3, 2))), cfg, small_mapper())
 
-    def test_loss_equals_resolved_assignment_cost(self, monkeypatch):
-        # lambda = 0: every recorded loss must equal (1/k) x the optimum of
-        # that step's cost matrix, solved independently by scipy.
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_loss_equals_resolved_assignment_cost(self, monkeypatch, lam):
+        # Every recorded loss must equal (1/k) x the optimum of that step's
+        # cost matrix, solved independently by scipy, plus lambda x the
+        # diversity penalty between that step's predictions and targets.
         costs = []
 
         def spy(c):
@@ -369,12 +371,14 @@ class TestTrainOtgen:
 
         monkeypatch.setattr(mappers, "solve_assignment", spy)
         pool = make_moons(SyntheticSpec(SyntheticKind.MOONS, n=512, seed=1))
-        cfg = TrainConfig(prior=PriorSpec(dim=2, seed=2), steps=5, batch_k=16, seed=3)
+        cfg = TrainConfig(prior=PriorSpec(dim=2, seed=2), steps=5, batch_k=16, lambda_div=lam, seed=3)
         result = train_otgen(pool_sampler(pool, 16, seed=4), cfg, small_mapper(seed=7))
         assert len(costs) == 5
         for step, c in enumerate(costs):
             rows, cols = linear_sum_assignment(c.values)
-            assert result.losses[step] == pytest.approx(c.values[rows, cols].sum() / c.k, rel=1e-9)
+            preds, z = c.points
+            want = c.values[rows, cols].sum() / c.k + lam * diversity_penalty(preds, z)[0]
+            assert result.losses[step] == pytest.approx(want, rel=1e-9)
 
     def test_frozen_sigma_gradient_matches_finite_differences(self):
         # One full objective evaluation (transport term + diversity term)
